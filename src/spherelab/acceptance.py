@@ -21,9 +21,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import counts as _counts
-from . import grids as _grids
-from . import operators as _ops
-from . import sharpness as _sharp
 from ._convolve import convolve_trunc
 from .counts import SphereSpec, growth_exponent_fit, rep_counts
 from .grids import GridFunction, make_box_indicator, make_delta

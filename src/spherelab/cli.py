@@ -120,7 +120,11 @@ def _load_function(spec_text: str, dim: int) -> GridFunction:
     if spec_text == "delta":
         return make_delta(dim)
     if spec_text.startswith("box:"):
-        return make_box_indicator(dim, int(spec_text[4:]))
+        try:
+            radius = int(spec_text[4:])
+        except ValueError as exc:
+            raise ParameterError(f"bad box radius in {spec_text!r}") from exc
+        return make_box_indicator(dim, radius)
     if spec_text.startswith("file:"):
         with open(spec_text[5:], "r") as handle:
             f = read_grid_text(handle)

@@ -79,12 +79,13 @@ def kth_root_floor(m: int, k: int) -> int:
         return m
     if k == 2:
         return math.isqrt(m)
-    r = int(round(m ** (1.0 / k)))
-    while r > 0 and r**k > m:
-        r -= 1
-    while (r + 1) ** k <= m:
-        r += 1
-    return r
+    # integer Newton (no float, so no overflow) from 2^ceil(bits/k) >= the root
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def one_dim_counts(degree: int, lambda_max: int) -> list[int]:

@@ -17,6 +17,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -32,7 +33,7 @@ Point = tuple[int, ...]
 
 
 class GridFunction:
-    """Immutable finitely supported function on Z^d."""
+    """Immutable finitely supported function on Z^d; non-finite values are rejected."""
 
     __slots__ = ("dim", "_values", "bbox")
 
@@ -47,6 +48,8 @@ class GridFunction:
             if len(pt) != dim:
                 raise ParameterError(f"point {p!r} does not have dimension {dim}")
             fv = float(v)
+            if not math.isfinite(fv):
+                raise ParameterError(f"value {v!r} at point {p!r} is not finite")
             if fv != 0.0:
                 clean[pt] = fv
         object.__setattr__(self, "dim", dim)
@@ -153,19 +156,6 @@ def pointwise_mul(f: GridFunction, g: GridFunction) -> GridFunction:
     return GridFunction(f.dim, out)
 
 
-def pointwise_max(f: GridFunction, g: GridFunction) -> GridFunction:
-    if f.dim != g.dim:
-        raise ParameterError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    out = dict(f.values)
-    for p, v in g.items_sorted():
-        out[p] = max(out.get(p, 0.0), v)
-    return GridFunction(f.dim, out)
-
-
-def absolute(f: GridFunction) -> GridFunction:
-    return GridFunction(f.dim, {p: abs(v) for p, v in f.values.items()})
-
-
 def lp_norm(f: GridFunction, p: float) -> float:
     """(sum |f(x)|^p)^(1/p) for 0 < p < infinity (quasi-norms included)."""
     if not p > 0:
@@ -247,5 +237,8 @@ def read_grid_text(stream) -> GridFunction:
         parts = line.split()
         if len(parts) != dim + 1:
             raise ParameterError(f"bad grid-function row {line!r} for dim {dim}")
-        vals[tuple(int(c) for c in parts[:dim])] = float(parts[dim])
+        try:
+            vals[tuple(int(c) for c in parts[:dim])] = float(parts[dim])
+        except ValueError as exc:
+            raise ParameterError(f"bad grid-function row {line!r}: {exc}") from exc
     return GridFunction(dim, vals)

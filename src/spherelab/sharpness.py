@@ -16,6 +16,11 @@ The candidate lam = l * sum |x_i|^k (from w = 0) is always present, so
 witness_value(x) >= (l * sum |x_i|^k)^-(l*d/k - 1) for x != 0.  The level
 lam = 0 arises only at x = 0, w = 0 and is excluded (level scans start at 1).
 
+Each level is a sum of independent per-axis terms, so witness_values adds
+them axis by axis over fixed-size row blocks: memory stays bounded for any
+batch.  The region sums keep their own chunks (60k points, 30k samples):
+those fix the float summation order and the random stream, hence the bytes.
+
 Pointwise this family decays like |x|^-(l*d - k), so its l^r norm over a
 ball diverges as the radius grows exactly when r <= d/(l*d - k); dyadic
 shell sums of witness^r then have asymptotic ratio 2^(d - (l*d - k) * r).
@@ -30,7 +35,6 @@ rules to an (p, q, r, d) tuple.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,12 +42,15 @@ from fractions import Fraction
 import numpy as np
 
 from .counts import DEFAULT_CACHE, SphereSpec
-from .errors import AnalysisError, ParameterError
+from .errors import AnalysisError, BudgetError, ParameterError
+from .grids import DEFAULT_SUPPORT_BUDGET
 from .reports import ExponentReport, RegionVerdict, ScanReport
 
 _EXACT_REGION_BUDGET = 200_000
 _DEFAULT_SAMPLES = 8_000
 _DEFAULT_SEED = 20250808
+_BLOCK_LEVELS = 1 << 16  # fastest of 2^14..2^20 (L = 1, 2, k = 2, 3, Z^5) on a 2-vCPU Xeon
+_EXACT_LEVEL_BUDGET = 1 << 17  # largest exact=True joint level: experiment 2's tables
 
 
 @dataclass(frozen=True)
@@ -64,10 +71,6 @@ class WitnessSpec:
             raise ParameterError(f"linearity must be >= 2, got {self.linearity!r}")
         if not isinstance(self.box_radius, int) or self.box_radius < 1:
             raise ParameterError(f"box_radius must be >= 1, got {self.box_radius!r}")
-
-    @property
-    def sphere(self) -> SphereSpec:
-        return SphereSpec(self.dim, self.degree)
 
     def decay_exponent(self) -> int:
         return self.linearity * self.dim - self.degree
@@ -121,60 +124,67 @@ def p0_bound(delta0, dim: int, degree: int) -> Fraction:
     return max(1 + 1 / (1 + 2 * d0), Fraction(dim, dim - degree))
 
 
-def _box_offsets(spec: WitnessSpec) -> np.ndarray:
-    L = spec.box_radius
-    return np.array(
-        list(itertools.product(range(-L, L + 1), repeat=spec.dim)), dtype=np.int64
-    )
-
-
 def witness_values(points: np.ndarray, spec: WitnessSpec, *, exact: bool = False) -> np.ndarray:
     """Exact witness supremum at every row of points ((N, dim) integer array).
 
-    Candidate levels are grouped by a row-sorted run-length pass; the level
-    lam = 0 (only at x = 0) is excluded from the supremum.
+    Levels are summed axis by axis in row blocks of at most _BLOCK_LEVELS (a
+    larger row is its own block), row-sorted and grouped by a run-length
+    pass; lam = 0 (only at x = 0) is excluded.  A row's value depends only on
+    its own levels, so blocking never changes the output.
 
     exact=True divides candidate counts by the true joint count N(lam)
-    instead of lam^(l*d/k - 1).  This secondary mode needs the joint count
-    table up to the largest candidate level, so keep |x| moderate there;
-    decay fits and norm scans always use the asymptotic normalization.
+    instead of lam^(l*d/k - 1), which needs the joint table up to the largest
+    candidate level; decay fits and norm scans use the asymptotic form.
+    BudgetError is raised before allocating when (2L+1)^d > DEFAULT_SUPPORT_BUDGET
+    or an exact table would pass _EXACT_LEVEL_BUDGET.
     """
     pts = np.asarray(points, dtype=np.int64)
     if pts.ndim != 2 or pts.shape[1] != spec.dim:
         raise ParameterError(f"points must be an (N, {spec.dim}) integer array")
-    box = _box_offsets(spec)
-    nb = len(box)
+    L, k = spec.box_radius, spec.degree
+    nb = (2 * L + 1) ** spec.dim
+    if nb > DEFAULT_SUPPORT_BUDGET:
+        raise BudgetError(f"witness box has {nb} points, budget is {DEFAULT_SUPPORT_BUDGET}")
     n = len(pts)
     if n == 0:
         return np.zeros(0)
-    k = spec.degree
     base = (spec.linearity - 1) * (np.abs(pts) ** k).sum(axis=1)
-    lam = base[:, None] + (np.abs(pts[:, None, :] - box[None, :, :]) ** k).sum(axis=2)
-    levels = np.sort(lam, axis=1)
-    flat = levels.ravel()
-    run_start = np.empty(n * nb, dtype=bool)
-    run_start[0] = True
-    run_start[1:] = flat[1:] != flat[:-1]
-    run_start[::nb] = True  # never merge runs across rows
-    starts = np.flatnonzero(run_start)
-    counts = np.diff(np.append(starts, n * nb))
-    lam_vals = flat[starts]
-    if exact:
-        joint = SphereSpec(spec.dim * spec.linearity, k)
-        table = DEFAULT_CACHE.table(joint, int(lam_vals.max()))
-        denom = np.array(
-            [float(table.count(int(l))) if l >= 1 else 0.0 for l in lam_vals]
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(denom > 0.0, counts / np.where(denom > 0.0, denom, 1.0), 0.0)
-    else:
-        lamf = lam_vals.astype(np.float64)
-        expo = spec.linearity * spec.dim / k - 1.0
-        safe = np.where(lamf >= 1.0, lamf, 1.0)
-        vals = np.where(lamf >= 1.0, counts * safe ** (-expo), 0.0)
-    rows = starts // nb
-    row_start = np.searchsorted(rows, np.arange(n))
-    return np.maximum.reduceat(vals, row_start)
+    if exact:  # the largest level takes w_i = -sign(x_i) * L; floats cannot wrap
+        absf = np.abs(pts).astype(np.float64)
+        top = ((spec.linearity - 1) * absf**k + (absf + L) ** k).sum(axis=1).max()
+        if top > _EXACT_LEVEL_BUDGET:
+            raise BudgetError(f"exact witness needs level {top:.0f} > {_EXACT_LEVEL_BUDGET}")
+        table = DEFAULT_CACHE.table(SphereSpec(spec.dim * spec.linearity, k), int(top))
+    w = np.arange(-L, L + 1)
+    expo = spec.linearity * spec.dim / k - 1.0
+    rows = max(1, _BLOCK_LEVELS // nb)
+    out = np.empty(n)
+    for lo in range(0, n, rows):
+        x = pts[lo : lo + rows]
+        levels = base[lo : lo + rows, None]
+        for axis in range(spec.dim):
+            step = np.abs(x[:, axis, None] - w) ** k
+            levels = (levels[:, :, None] + step[:, None, :]).reshape(len(x), -1)
+        levels.sort(axis=1)
+        flat = levels.ravel()
+        run_start = np.empty(len(flat), dtype=bool)
+        run_start[0] = True
+        run_start[1:] = flat[1:] != flat[:-1]
+        run_start[::nb] = True  # never merge runs across rows
+        starts = np.flatnonzero(run_start)
+        counts = np.diff(np.append(starts, len(flat)))
+        lam_vals = flat[starts]
+        if exact:
+            denom = np.array([float(table.count(int(l))) if l >= 1 else 0.0 for l in lam_vals])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals = np.where(denom > 0.0, counts / np.where(denom > 0.0, denom, 1.0), 0.0)
+        else:
+            lamf = lam_vals.astype(np.float64)
+            safe = np.where(lamf >= 1.0, lamf, 1.0)
+            vals = np.where(lamf >= 1.0, counts * safe ** (-expo), 0.0)
+        row_start = np.searchsorted(starts // nb, np.arange(len(x)))
+        out[lo : lo + len(x)] = np.maximum.reduceat(vals, row_start)
+    return out
 
 
 def witness_value(x, spec: WitnessSpec, *, exact: bool = False) -> float:

@@ -177,6 +177,35 @@ def test_exit_code_budget_error(capsys):
     assert "error (budget)" in err
 
 
+@pytest.mark.parametrize("extra", [
+    # (2*10+1)^7 candidate levels per point
+    ["--dim", "7", "--box", "10", "--point", "0,0,0,0,0,0,0"],
+    # exact joint counts up to level ~2*10^6
+    ["--dim", "5", "--point", "1000,0,0,0,0", "--normalization", "exact"],
+])
+def test_exit_code_witness_budget(extra, capsys):
+    code, _, err = run_cli(["witness"] + extra, capsys)
+    assert code == 3
+    assert "error (budget)" in err
+
+
+@pytest.mark.parametrize("fn_text", [None, "1\n0.5 1.0\n", "1\n0 nan\n", "1\n0 -inf\n"])
+def test_exit_code_bad_function_input(fn_text, tmp_path, capsys):
+    # a malformed box spec, a non-integer coordinate, non-finite values
+    fn = "box:abc"
+    if fn_text is not None:
+        path = tmp_path / "f.txt"
+        path.write_text(fn_text)
+        fn = f"file:{path}"
+    code, _, err = run_cli(
+        ["avg", "--dim", "1", "--degree", "2", "--linearity", "2", "--lambda", "2",
+         "--fn", fn, "--fn", "delta"],
+        capsys,
+    )
+    assert code == 2
+    assert "error (parameters)" in err
+
+
 def test_exit_code_analysis_error(capsys):
     code, _, err = run_cli(
         ["decay", "--dim", "5", "--degree", "2", "--linearity", "2", "--box", "1",

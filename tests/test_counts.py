@@ -99,6 +99,13 @@ def test_kth_root_floor_exact():
         for m in range(0, 3000):
             r = kth_root_floor(m, k)
             assert r**k <= m < (r + 1) ** k
+    # far beyond float range, and at both sides of exact powers
+    for k in (3, 5):
+        r = kth_root_floor(10**400, k)
+        assert r**k <= 10**400 < (r + 1) ** k
+        for root in (2, 10**20 + 3, 7**150, 10**90):
+            assert kth_root_floor(root**k - 1, k) == root - 1
+            assert kth_root_floor(root**k, k) == root
 
 
 def test_shell_examples():

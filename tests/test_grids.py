@@ -71,6 +71,12 @@ def test_dimension_validation():
         add(make_delta(2), make_delta(3))
 
 
+def test_non_finite_values_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError):
+            GridFunction(2, {(0, 0): 1.0, (1, 0): bad})
+
+
 def test_lp_norms():
     box = make_box_indicator(2, 1)
     assert lp_norm(box, 1) == 9.0
@@ -186,3 +192,5 @@ def test_text_format_rejects_garbage():
         read_grid_text(io.StringIO("not-a-dim\n"))
     with pytest.raises(ParameterError):
         read_grid_text(io.StringIO("2\n1 2 3 4\n"))
+    with pytest.raises(ParameterError):
+        read_grid_text(io.StringIO("2\n1 0.5 3\n"))

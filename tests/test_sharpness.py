@@ -7,6 +7,7 @@ import pytest
 
 from spherelab import (
     AnalysisError,
+    BudgetError,
     Normalization,
     OperatorConfig,
     ParameterError,
@@ -24,6 +25,8 @@ from spherelab import (
     witness_value,
     witness_values,
 )
+
+from spherelab.sharpness import _BLOCK_LEVELS
 
 from oracles import brute_witness
 
@@ -81,6 +84,37 @@ def test_witness_matches_brute_enumeration():
             x = tuple(rng.randint(-12, 12) for _ in range(spec.dim))
             want = brute_witness(x, spec.dim, spec.degree, spec.linearity, spec.box_radius)
             assert witness_value(x, spec) == pytest.approx(want, rel=1e-13), (spec, x)
+    # batches spanning at least three blocks of the kernel, k = 3, l = 3,
+    # with the origin and negative coordinates
+    for spec in (WitnessSpec(5, 3, 3, 1), WitnessSpec(5, 3, 3, 2)):
+        rows = _BLOCK_LEVELS // (2 * spec.box_radius + 1) ** 5
+        pts = np.random.default_rng(spec.box_radius).integers(-9, 10, size=(3 * rows + 2, 5))
+        pts[rows] = 0
+        vals = witness_values(pts, spec)
+        singles = np.array([witness_value(tuple(row), spec) for row in pts.tolist()])
+        assert vals.tobytes() == singles.tobytes(), spec
+        for row, v in zip(pts.tolist(), vals):
+            assert abs(v - brute_witness(row, 5, 3, 3, spec.box_radius)) <= 1e-12 * v, (spec, row)
+    spec = WitnessSpec(5, 3, 3, 1)
+    pts = np.random.default_rng(9).integers(-3, 4, size=(3 * (_BLOCK_LEVELS // 3**5) + 2, 5))
+    pts[0] = 0
+    vals = witness_values(pts, spec, exact=True)
+    singles = [witness_value(tuple(row), spec, exact=True) for row in pts.tolist()]
+    assert vals.tobytes() == np.array(singles).tobytes()
+
+
+def test_witness_box_budget():
+    # 21^7 candidate levels per point: rejected before anything is allocated
+    with pytest.raises(BudgetError):
+        witness_values(np.zeros((1, 7), dtype=np.int64), WitnessSpec(7, 2, 2, 10))
+
+
+def test_witness_exact_level_budget():
+    # largest candidate level 1000^2 + 1001^2 + 4 needs a joint table far
+    # beyond the budget: rejected before any count table is built
+    with pytest.raises(BudgetError):
+        witness_value((1000, 0, 0, 0, 0), W5, exact=True)
+    assert witness_value((1000, 0, 0, 0, 0), W5) > 0.0
 
 
 def test_witness_vectorized_matches_scalar():
@@ -89,6 +123,9 @@ def test_witness_vectorized_matches_scalar():
     vals = witness_values(pts, W5)
     for row, v in zip(pts, vals):
         assert witness_value(tuple(int(c) for c in row), W5) == v
+    # in Z^1 with k = l = 2 the value is the largest count; row 0's largest
+    # level (1, twice) equals row 1's smallest, and the runs must not merge
+    assert witness_values(np.array([[0], [1]]), WitnessSpec(1, 2, 2, 1)).tolist() == [2.0, 1.0]
 
 
 def test_witness_lower_bound_property():
