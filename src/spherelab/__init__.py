@@ -14,7 +14,6 @@ from .counts import (
     enumerate_shell,
     growth_exponent_fit,
     joint_count,
-    joint_count_by_folding,
     rep_counts,
 )
 from .errors import (
@@ -89,7 +88,6 @@ __all__ = [
     "growth_exponent_fit",
     "hl_maximal",
     "joint_count",
-    "joint_count_by_folding",
     "linear_spherical_maximal",
     "lp_norm",
     "make_box_indicator",

@@ -1,48 +1,34 @@
 """Exact truncated convolution of nonnegative integer sequences.
 
-Two backends, both exact:
+Sparse inputs (nnz(a) * nnz(b) small) use schoolbook multiplication.  Dense
+inputs use Kronecker substitution in base 10^w: each sequence is written as
+one decimal number whose i-th block of w digits, counted from the least
+significant end, is coefficient i; one multiply of the two numbers then
+holds the product's coefficients in the same w-digit slots.
 
-  * sparse schoolbook, used when nnz(a) * nnz(b) is small;
-  * Kronecker substitution for the dense case: pack each sequence into one
-    big integer with fixed-width slots, do a single big multiply, unpack.
-    Slot width is derived from the rigorous coefficient bound
-    min(sum(a) * max(b), sum(b) * max(a)), so no slot can overflow.
-
-CPython's big-int multiply (Karatsuba) is already fast enough for the
-acceptance workloads; gmpy2 (GMP, FFT multiply) is used when importable.
-Results are identical either way.
+  * Multiply: it is done by the stdlib ``decimal`` module (libmpdec),
+    which switches to a number-theoretic transform for large operands, and
+    decimal strings convert to and from Decimal in linear time.
+  * Slot bound: every product coefficient, kept or not, is at most
+    min(sum(a) * max(b), sum(b) * max(a)); w is one digit more than that
+    bound has, so no slot carries into the next.
+  * Exactness: the context's precision (MAX_PREC) exceeds the digits of any
+    product that fits in memory, and it traps Inexact, so a product that
+    would have been rounded raises instead of yielding a wrong count.
 """
 
 from __future__ import annotations
 
-try:  # optional fast path
-    import gmpy2 as _gmpy2
-except ImportError:  # pragma: no cover - depends on environment
-    _gmpy2 = None
+import decimal
 
 _SPARSE_WORK_LIMIT = 2_000_000
 
-
-def _bigmul(a: int, b: int) -> int:
-    if _gmpy2 is not None:
-        return int(_gmpy2.mpz(a) * _gmpy2.mpz(b))
-    return a * b
-
-
-def _pack(seq: list[int], width: int) -> int:
-    buf = bytearray(len(seq) * width)
-    for i, c in enumerate(seq):
-        if c:
-            buf[i * width : (i + 1) * width] = c.to_bytes(width, "little")
-    return int.from_bytes(buf, "little")
-
-
-def _unpack_prefix(n: int, count: int, width: int) -> list[int]:
-    raw = n.to_bytes((n.bit_length() + 7) // 8 + width, "little")
-    return [
-        int.from_bytes(raw[i * width : (i + 1) * width], "little")
-        for i in range(count)
-    ]
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact],
+)
 
 
 def _convolve_sparse(a: list[int], b: list[int], n_out: int) -> list[int]:
@@ -69,10 +55,13 @@ def convolve_trunc(a: list[int], b: list[int], n_out: int) -> list[int]:
         return [0] * n_out
     if nnz_a * nnz_b <= _SPARSE_WORK_LIMIT:
         return _convolve_sparse(a, b, n_out)
-    bound = min(sum(a) * max(b), sum(b) * max(a))
-    width = bound.bit_length() // 8 + 2  # slack byte, slots never overflow
-    prod = _bigmul(_pack(a, width), _pack(b, width))
-    return _unpack_prefix(prod, n_out, width)
+    w = len(str(min(sum(a) * max(b), sum(b) * max(a)))) + 1
+    slot = f"0{w}d"
+    x = decimal.Decimal("".join([format(c, slot) for c in reversed(a)]))
+    y = decimal.Decimal("".join([format(c, slot) for c in reversed(b)]))
+    digits = str(_EXACT.multiply(x, y)).zfill(n_out * w)
+    top = len(digits)
+    return [int(digits[top - (i + 1) * w : top - i * w]) for i in range(n_out)]
 
 
 def power_trunc(g: list[int], exponent: int, n_out: int) -> list[int]:

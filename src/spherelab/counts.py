@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._convolve import convolve_trunc, power_trunc
+from ._convolve import power_trunc
 from .errors import AnalysisError, ParameterError, RangeError
 from .reports import ExponentReport
 
@@ -113,19 +113,19 @@ def rep_counts(spec: SphereSpec, lambda_max: int) -> RepCountTable:
 
 
 class TableCache:
-    """Memoizes RepCountTable instances keyed by (dim, degree, lambda_max)."""
+    """Memoizes one RepCountTable per (dim, degree): the largest one asked for.
+
+    A request at or below the stored table's lambda_max is served by it;
+    a larger request replaces it.  Callers read only counts[:lam + 1].
+    """
 
     def __init__(self):
-        self._tables: dict[tuple[int, int, int], RepCountTable] = {}
+        self._tables: dict[tuple[int, int], RepCountTable] = {}
 
     def table(self, spec: SphereSpec, lambda_max: int) -> RepCountTable:
-        key = (spec.dim, spec.degree, lambda_max)
+        key = (spec.dim, spec.degree)
         tab = self._tables.get(key)
-        if tab is None:
-            # reuse any cached table that already covers the request
-            for (d, k, lam), cached in self._tables.items():
-                if d == spec.dim and k == spec.degree and lam >= lambda_max:
-                    return cached
+        if tab is None or tab.lambda_max < lambda_max:
             tab = rep_counts(spec, lambda_max)
             self._tables[key] = tab
         return tab
@@ -148,28 +148,6 @@ def joint_count(
     cache = cache if cache is not None else DEFAULT_CACHE
     joint = SphereSpec(dim=spec.dim * linearity, degree=spec.degree)
     return cache.table(joint, lam).count(lam)
-
-
-def joint_count_by_folding(
-    spec: SphereSpec,
-    linearity: int,
-    lam: int,
-    cache: TableCache | None = None,
-) -> int:
-    """N(lam) via convolving the dimension-d table with itself l times.
-
-    Independent evaluation path; must agree with joint_count exactly.
-    """
-    if not isinstance(linearity, int) or linearity < 1:
-        raise ParameterError(f"linearity must be an integer >= 1, got {linearity!r}")
-    if lam < 0:
-        raise RangeError(f"lam must be >= 0, got {lam}")
-    cache = cache if cache is not None else DEFAULT_CACHE
-    base = list(cache.table(spec, lam).counts[: lam + 1])
-    acc = base
-    for _ in range(linearity - 1):
-        acc = convolve_trunc(acc, base, lam + 1)
-    return acc[lam]
 
 
 def enumerate_shell(spec: SphereSpec, lam: int) -> Shell:

@@ -40,6 +40,16 @@ def brute_shell(dim: int, degree: int, lam: int) -> list[tuple[int, ...]]:
     )
 
 
+def brute_convolve(a: list[int], b: list[int], n_out: int) -> list[int]:
+    """First n_out coefficients of the product series a * b, term by term."""
+    out = [0] * n_out
+    for i in range(len(a)):
+        for j in range(len(b)):
+            if i + j < n_out:
+                out[i + j] += a[i] * b[j]
+    return out
+
+
 def brute_multilinear(fs, lam: int, dim: int, degree: int, exact: bool):
     """T_lam by full joint-sphere enumeration; returns {point: value}."""
     ell = len(fs)

@@ -12,13 +12,12 @@ from spherelab import (
     enumerate_shell,
     growth_exponent_fit,
     joint_count,
-    joint_count_by_folding,
     rep_counts,
 )
-from spherelab._convolve import convolve_trunc
+from spherelab._convolve import _SPARSE_WORK_LIMIT, convolve_trunc
 from spherelab.counts import kth_root_floor, write_counts_csv, write_shell_csv
 
-from oracles import brute_count, brute_shell
+from oracles import brute_convolve, brute_count, brute_shell
 
 
 def test_one_dim_squares_table():
@@ -84,9 +83,71 @@ def test_joint_count_paths_agree():
     for dim, degree, ell in [(1, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)]:
         spec = SphereSpec(dim, degree)
         for lam in range(0, 40):
-            assert joint_count(spec, ell, lam, cache) == joint_count_by_folding(
-                spec, ell, lam, cache
-            ), (dim, degree, ell, lam)
+            base = list(rep_counts(spec, lam).counts)
+            folded = base
+            for _ in range(ell - 1):
+                folded = brute_convolve(folded, base, lam + 1)
+            assert joint_count(spec, ell, lam, cache) == folded[lam], (dim, degree, ell, lam)
+
+
+def test_table_cache_keeps_largest_table_per_spec():
+    cache = TableCache()
+    spec = SphereSpec(3, 2)
+    answers = {lam: cache.table(spec, lam) for lam in (10, 50, 20)}
+    assert len(cache._tables) == 1
+    assert cache._tables[(3, 2)].lambda_max == 50
+    for lam, tab in answers.items():
+        fresh = rep_counts(spec, lam)
+        assert tab.counts[: lam + 1] == fresh.counts
+        assert [tab.count(mu) for mu in range(lam + 1)] == list(fresh.counts)
+
+
+_DIGIT_EDGE_BOUNDS = {
+    "bound_10^6-1": 10**6 - 1,
+    "bound_10^6": 10**6,
+    "bound_10^30-1": 10**30 - 1,
+    "bound_10^30": 10**30,
+}
+
+
+def _dense_inputs(case):
+    rng = random.Random(case)
+    if case == "random_wide":  # coefficients around r_{10,2}(10^5) ~ 10^36
+        a = [rng.randrange(2**64, 2**128) for _ in range(3000)]
+        b = [rng.randrange(1, 2**100) for _ in range(800)]
+        return a, b, 3000
+    if case == "constant_max":  # coefficient n_out - 1 equals the slot bound
+        m = 2**80 - 1
+        return [m] * 1500, [m] * 1500, 1500
+    if case in _DIGIT_EDGE_BOUNDS:  # slot bound 10^j - 1 or 10^j exactly
+        bound = _DIGIT_EDGE_BOUNDS[case]
+        n = 1600 if bound % 1600 == 0 else 2079  # 2079 divides 10^6 - 1 and 10^30 - 1
+        return [1] * n, [bound // n] * n, n
+    if case == "trailing_zeros":  # top slots are zero, so the product string is short
+        a = [rng.randrange(1, 2**70) for _ in range(1500)] + [0] * 200
+        b = [rng.randrange(1, 2**70) for _ in range(1500)] + [0] * 200
+        return a, b, len(a) + len(b) - 1
+    if case == "n_out_beyond_product":
+        a = [rng.randrange(1, 2**40) for _ in range(1500)]
+        b = [rng.randrange(1, 2**40) for _ in range(1500)]
+        return a, b, len(a) + len(b) + 100
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["random_wide", "constant_max", *_DIGIT_EDGE_BOUNDS, "trailing_zeros", "n_out_beyond_product"],
+)
+def test_dense_convolution_matches_brute(case):
+    a, b, n_out = _dense_inputs(case)
+    nnz_a = sum(1 for v in a if v)
+    nnz_b = sum(1 for v in b if v)
+    assert nnz_a * nnz_b > _SPARSE_WORK_LIMIT  # the dense branch is the one under test
+    got = convolve_trunc(a, b, n_out)
+    assert got == brute_convolve(a, b, n_out)
+    assert all(type(c) is int for c in got)
+    if case == "constant_max" or case in _DIGIT_EDGE_BOUNDS:
+        assert got[n_out - 1] == min(sum(a) * max(b), sum(b) * max(a))
 
 
 def test_joint_count_range_error():
