@@ -1,9 +1,9 @@
 """spherelab: discrete multilinear spherical averages on Z^d.
 
-Exact lattice-point counting on degree-k spheres, sparse grid functions and
-their spherical slices, the multilinear averaging/maximal operators with a
-pointwise domination checker, and the sharpness toolkit (witness family,
-decay fits, norm scans, critical exponents).
+Exact lattice-point counting on degree-k spheres, sparse grid functions,
+the multilinear averaging/maximal operators with a pointwise domination
+checker, and the sharpness toolkit (witness family, decay fits, norm scans,
+critical exponents).
 """
 
 from .counts import (
@@ -26,12 +26,10 @@ from .errors import (
 )
 from .grids import (
     GridFunction,
-    SliceFamily,
     lp_norm,
     make_box_indicator,
     make_delta,
     read_grid_text,
-    slice_family,
     translate,
     write_grid_text,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "RepCountTable",
     "ScanReport",
     "Shell",
-    "SliceFamily",
     "SphereLabError",
     "SphereSpec",
     "TableCache",
@@ -100,7 +97,6 @@ __all__ = [
     "read_grid_text",
     "region_classify",
     "rep_counts",
-    "slice_family",
     "translate",
     "witness_value",
     "witness_values",

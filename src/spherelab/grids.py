@@ -1,33 +1,25 @@
-"""Finitely supported real-valued functions on Z^d and their spherical slices.
+"""Finitely supported real-valued functions on Z^d and their text format.
 
 A GridFunction is a sparse point -> value map (zeros are never stored);
-evaluation anywhere off the support is 0.  The slice transform turns a
-function f into the family
-
-    F_mu(x) = sum_{u : |u_1|^k + ... + |u_d|^k = mu} f(x - u),
-
-which is the building block for every averaging operator: a sphere sum in a
-product space collapses to a one-dimensional convolution of slice levels.
+evaluation anywhere off the support is 0.  The operators in operators.py
+take GridFunctions as input and return them as output.
 
 Supports stay sparse; a configurable budget (default 10^7 points) converts
-would-be memory blowups into clean BudgetError exceptions.  Accumulation
-order is fixed (sorted support, lexicographic shells) so results are
-bit-reproducible.
+would-be memory blowups into clean BudgetError exceptions.  Non-finite
+values are rejected on construction, and support points are handed out in
+sorted order, so every accumulation over a support has a fixed order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
-from .counts import SphereSpec, enumerate_shell, rep_counts
 from .errors import BudgetError, ParameterError
 
 DEFAULT_SUPPORT_BUDGET = 10**7
-DEFAULT_SLICE_WORK_BUDGET = 5 * 10**7
 
 Point = tuple[int, ...]
 
@@ -131,89 +123,12 @@ def translate(f: GridFunction, shift) -> GridFunction:
     return GridFunction(f.dim, {tuple(p + s for p, s in zip(pt, shift)): v for pt, v in f.values.items()})
 
 
-def scale(f: GridFunction, c: float) -> GridFunction:
-    return GridFunction(f.dim, {p: c * v for p, v in f.values.items()})
-
-
-def add(f: GridFunction, g: GridFunction) -> GridFunction:
-    if f.dim != g.dim:
-        raise ParameterError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    out = dict(f.values)
-    for p, v in g.items_sorted():
-        out[p] = out.get(p, 0.0) + v
-    return GridFunction(f.dim, out)
-
-
-def pointwise_mul(f: GridFunction, g: GridFunction) -> GridFunction:
-    if f.dim != g.dim:
-        raise ParameterError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    small, big = (f, g) if f.support_size() <= g.support_size() else (g, f)
-    out = {}
-    for p, v in small.items_sorted():
-        w = big.value(p)
-        if w != 0.0:
-            out[p] = v * w
-    return GridFunction(f.dim, out)
-
-
 def lp_norm(f: GridFunction, p: float) -> float:
     """(sum |f(x)|^p)^(1/p) for 0 < p < infinity (quasi-norms included)."""
     if not p > 0:
         raise ParameterError(f"p must be positive, got {p!r}")
     total = sum(abs(v) ** p for _, v in f.items_sorted())
     return total ** (1.0 / p)
-
-
-@dataclass(frozen=True)
-class SliceFamily:
-    """The slice levels F_mu of a source function, mu = 0..mu_max."""
-
-    source: GridFunction
-    spec: SphereSpec
-    mu_max: int
-    slices: tuple[GridFunction, ...] = field(repr=False)
-
-    def slice(self, mu: int) -> GridFunction:
-        if not 0 <= mu <= self.mu_max:
-            raise ParameterError(f"mu={mu} outside 0..{self.mu_max}")
-        return self.slices[mu]
-
-
-def slice_family(
-    f: GridFunction,
-    spec: SphereSpec,
-    mu_max: int,
-    *,
-    work_budget: int = DEFAULT_SLICE_WORK_BUDGET,
-) -> SliceFamily:
-    """Build F_mu(x) = sum_{shell mu} f(x - u) for every mu = 0..mu_max.
-
-    Work is pre-estimated as sum_mu r(mu) * |supp f|; exceeding the budget
-    raises BudgetError naming the offending level.
-    """
-    if f.dim != spec.dim:
-        raise ParameterError(f"function dim {f.dim} != spec dim {spec.dim}")
-    if not isinstance(mu_max, int) or mu_max < 0:
-        raise ParameterError(f"mu_max must be a nonnegative integer, got {mu_max!r}")
-    table = rep_counts(spec, mu_max)
-    support = f.items_sorted()
-    work = 0
-    for mu in range(mu_max + 1):
-        work += table.counts[mu] * len(support)
-        if work > work_budget:
-            raise BudgetError(
-                f"slice family work estimate exceeds budget {work_budget} at mu={mu}"
-            )
-    slices = []
-    for mu in range(mu_max + 1):
-        shell = enumerate_shell(spec, mu)
-        acc: dict[Point, float] = {}
-        for y, v in support:
-            for u in shell.points:
-                x = tuple(a + b for a, b in zip(y, u))
-                acc[x] = acc.get(x, 0.0) + v
-        slices.append(GridFunction(f.dim, acc))
-    return SliceFamily(source=f, spec=spec, mu_max=mu_max, slices=tuple(slices))
 
 
 def write_grid_text(f: GridFunction, stream) -> None:

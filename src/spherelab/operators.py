@@ -11,20 +11,22 @@ The absolute value lives in the maximal operator, not the average, so the
 average stays multilinear.
 
 Evaluation strategy: sphere sums in Z^(l*d) collapse to one-dimensional
-convolutions of per-function slice levels.  For every evaluation point x we
-form the level profile  A_j(x, nu) = sum_{|u|^k = nu} f_j(x - u)  (built by
-scattering each support point of f_j over its distance levels) and left-fold
-pairwise level convolutions
+convolutions of per-function level profiles  A_j(x, nu) = sum_{|u|^k = nu}
+f_j(x - u),  nu = 0..Lam.  The left fold of pairwise level convolutions
 
-    P(x, .) = A_1(x, .) * A_2(x, .) * ... * A_l(x, .),
+    P(x, .) = A_1(x, .) * A_2(x, .) * ... * A_l(x, .)
 
-so T_lam(x) = P(x, lam) / norm(lam).  Evaluation points are the integer
-points of the sup-norm dilation (radius floor(Lam^(1/k))) of the supports'
-bounding boxes, intersected across inputs, processed in fixed-size chunks
-in lexicographic order.  Rows whose bbox k-distance to some support exceeds
-lambda_max are pruned first; such rows have identically zero profiles, so
-pruning never changes a value.  All reductions have a fixed order, so
-outputs are independent of chunking and thread count.
+gives T_lam(x) = P(x, lam) / norm(lam).  One engine, _live_profiles, builds
+the profiles for every operator, and each operator is a reduction of them.
+It walks the integer points of the sup-norm dilation (radius
+floor(Lam^(1/k))) of the supports' bounding boxes, intersected across
+inputs, in fixed-size lexicographic chunks, and drops the rows whose
+k-distance to some bounding box exceeds Lam, then the rows where some
+profile is identically zero; every operator is zero there, so pruning never
+changes a value.  Profiles are scattered from the support in fixed-size
+blocks whose sums are added in support order, so the summation order of
+every value depends on the support alone: outputs are byte-identical for
+any chunk size.
 
 Pointwise domination: for nonnegative inputs and asymptotic normalization,
 
@@ -56,6 +58,8 @@ from .grids import GridFunction
 from .reports import DominationReport
 
 _CHUNK_ROWS = 1 << 16
+_SUPPORT_BLOCK = 256        # support points per scatter: fixes each row's sum order
+_BLOCK_CELLS = 2_000_000    # (row, support point) pairs per scatter: bounds memory
 
 
 class Normalization(enum.Enum):
@@ -95,54 +99,52 @@ class OperatorConfig:
             raise ParameterError("normalization must be a Normalization value")
 
 
-def _check_dims(fs: list[GridFunction], spec: SphereSpec, linearity: int) -> None:
-    if len(fs) != linearity:
+def _validate(
+    fs: list[GridFunction],
+    spec: SphereSpec,
+    lambda_max: int,
+    linearity: int | None = None,
+    nonnegative: bool = False,
+) -> None:
+    """The input checks shared by every operator."""
+    if linearity is not None and len(fs) != linearity:
         raise ParameterError(f"expected {linearity} input functions, got {len(fs)}")
-    for f in fs:
+    if not isinstance(lambda_max, int) or lambda_max < 1:
+        raise ParameterError(f"lambda_max must be an integer >= 1, got {lambda_max!r}")
+    for i, f in enumerate(fs):
         if f.dim != spec.dim:
             raise ParameterError(f"input dimension {f.dim} != spec dimension {spec.dim}")
+        if nonnegative and any(v < 0.0 for v in f.values.values()):
+            raise ParameterError(f"input {i} must be nonnegative for the domination check")
 
 
 def _common_grid_box(fs: list[GridFunction], radius: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Intersection of each support bbox dilated by radius in sup-norm."""
-    lo = None
-    hi = None
-    for f in fs:
-        if f.bbox is None:
-            return None
-        flo = tuple(c - radius for c in f.bbox[0])
-        fhi = tuple(c + radius for c in f.bbox[1])
-        lo = flo if lo is None else tuple(max(a, b) for a, b in zip(lo, flo))
-        hi = fhi if hi is None else tuple(min(a, b) for a, b in zip(hi, fhi))
-    if any(a > b for a, b in zip(lo, hi)):
+    if any(f.bbox is None for f in fs):
         return None
-    return lo, hi
+    lo = tuple(max(c) - radius for c in zip(*(f.bbox[0] for f in fs)))
+    hi = tuple(min(c) + radius for c in zip(*(f.bbox[1] for f in fs)))
+    return None if any(a > b for a, b in zip(lo, hi)) else (lo, hi)
 
 
-def _iter_grid_chunks(box, dim):
-    """Yield (N,dim) int64 arrays covering the box in lexicographic order."""
+def _iter_grid_chunks(box):
+    """Yield (N,d) int64 arrays covering the box in lexicographic order."""
     lo, hi = box
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    total = 1
-    for s in shape:
-        total *= s
+    total = math.prod(shape)
     lo_arr = np.array(lo, dtype=np.int64)
-    start = 0
-    while start < total:
-        stop = min(start + _CHUNK_ROWS, total)
-        flat = np.arange(start, stop, dtype=np.int64)
-        coords = np.stack(np.unravel_index(flat, shape), axis=1).astype(np.int64)
-        yield coords + lo_arr
-        start = stop
+    for start in range(0, total, _CHUNK_ROWS):
+        flat = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
+        yield np.stack(np.unravel_index(flat, shape), axis=1).astype(np.int64) + lo_arr
 
 
-def _bbox_reach_mask(points: np.ndarray, f: GridFunction, degree: int, lam_max: int) -> np.ndarray:
-    """Rows whose k-distance to the support's bounding box is <= lam_max.
+def _bbox_reach_mask(points: np.ndarray, bbox, degree: int, lam_max: int) -> np.ndarray:
+    """Rows whose k-distance to the bounding box is <= lam_max.
 
     A lower bound on the distance to the support itself, so the complement
     has identically zero level profiles.
     """
-    lo, hi = f.bbox
+    lo, hi = bbox
     gap_sum = np.zeros(len(points), dtype=np.int64)
     for axis in range(points.shape[1]):
         col = points[:, axis]
@@ -151,47 +153,38 @@ def _bbox_reach_mask(points: np.ndarray, f: GridFunction, degree: int, lam_max: 
     return gap_sum <= lam_max
 
 
-class _FunctionArrays:
-    """Support points/values of one input, ready for vectorized scattering."""
+def _level_profile(
+    points: np.ndarray, sup_pts: np.ndarray, sup_vals: np.ndarray, degree: int, lam_max: int
+) -> np.ndarray:
+    """Profile A(i, nu) = sum over the support of f(s) at level nu = |x_i - s|^k.
 
-    __slots__ = ("points", "values", "size")
-
-    def __init__(self, f: GridFunction, absolute: bool = False):
-        pts, vals = f.arrays()
-        self.points = pts
-        self.values = np.abs(vals) if absolute else vals
-        self.size = len(vals)
-
-
-def _level_profile(points: np.ndarray, fa: _FunctionArrays, degree: int, lam_max: int) -> np.ndarray:
-    """Profile A(i, nu) = sum over supp f of f(s) at level nu = |x_i - s|^k.
-
-    Support points are processed in fixed-size blocks; each block scatters
-    through one weighted bincount, so the accumulation order is fixed.
+    Each block of _SUPPORT_BLOCK support points scatters through one
+    weighted bincount and the block sums are added in support order; rows
+    are split only to bound memory.  So the summation order of a row is
+    fixed by the support alone, whatever rows are evaluated with it.
     """
-    n = len(points)
-    width = lam_max + 1
-    prof = np.zeros(n * width, dtype=np.float64)
-    if n == 0 or fa.size == 0:
-        return prof.reshape(n, width)
-    rows = np.arange(n, dtype=np.int64) * width
-    block = max(1, min(fa.size, 2_000_000 // max(n, 1)))
-    dim = points.shape[1]
-    for start in range(0, fa.size, block):
-        sup = fa.points[start : start + block]          # (B, d)
-        vals = fa.values[start : start + block]         # (B,)
-        lev = np.zeros((n, len(sup)), dtype=np.int64)
-        for axis in range(dim):
-            dcol = points[:, axis][:, None] - sup[None, :, axis]
-            if degree == 2:
-                lev += dcol * dcol
-            else:
-                lev += np.abs(dcol) ** degree
-        mask = lev <= lam_max
-        idx = (rows[:, None] + lev)[mask]
-        weights = np.broadcast_to(vals[None, :], mask.shape)[mask]
-        prof += np.bincount(idx, weights=weights, minlength=n * width)
-    return prof.reshape(n, width)
+    n, width = len(points), lam_max + 1
+    prof = np.zeros((n, width), dtype=np.float64)
+    for s in range(0, len(sup_vals), _SUPPORT_BLOCK):
+        sup = sup_pts[s : s + _SUPPORT_BLOCK]          # (B, d)
+        vals = sup_vals[s : s + _SUPPORT_BLOCK]        # (B,)
+        step = _BLOCK_CELLS // len(vals)
+        for r in range(0, n, step):
+            rows = points[r : r + step]
+            lev = np.zeros((len(rows), len(vals)), dtype=np.int64)
+            for axis in range(points.shape[1]):
+                dcol = rows[:, axis][:, None] - sup[None, :, axis]
+                if degree == 2:
+                    lev += dcol * dcol
+                else:
+                    lev += np.abs(dcol) ** degree
+            mask = lev <= lam_max
+            idx = (np.arange(len(rows), dtype=np.int64)[:, None] * width + lev)[mask]
+            weights = np.broadcast_to(vals[None, :], mask.shape)[mask]
+            prof[r : r + step] += np.bincount(
+                idx, weights=weights, minlength=len(rows) * width
+            ).reshape(len(rows), width)
+    return prof
 
 
 def _level_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -206,62 +199,78 @@ def _level_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pruned_profiles(
-    pts: np.ndarray,
-    fas: list[_FunctionArrays],
-    fs: list[GridFunction],
-    degree: int,
-    lam_max: int,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Row indices with every input reachable, plus the profiles there.
+def _fold(profiles: list[np.ndarray]) -> np.ndarray:
+    """Left fold of level convolutions, ((A_1 * A_2) * A_3) * ..."""
+    out = profiles[0]
+    for p in profiles[1:]:
+        out = _level_convolve(out, p)
+    return out
 
-    Profiles are built smallest support first, shrinking the live set as
-    empty rows appear, so large supports are only scattered where needed.
+
+def _live_profiles(fs: list[GridFunction], degree: int, lam_max: int, absolute: bool = False):
+    """The evaluation engine: yield (chunk, live_idx, profiles) per grid chunk.
+
+    Chunks cover the common evaluation box in lexicographic order.  live_idx
+    lists the rows of chunk where no input's profile is identically zero;
+    profiles[j] holds, for those rows, the levels 0..lam_max of fs[j] (of
+    |fs[j]| when absolute).  Profiles are built smallest support first,
+    shrinking the live set as empty rows appear, so large supports are only
+    scattered where needed.
     """
-    live = np.ones(len(pts), dtype=bool)
-    for f in fs:
-        live &= _bbox_reach_mask(pts, f, degree, lam_max)
-    idx = np.flatnonzero(live)
-    order = sorted(range(len(fas)), key=lambda j: fas[j].size)
-    profiles: list[np.ndarray | None] = [None] * len(fas)
-    for j in order:
+    box = _common_grid_box(fs, kth_root_floor(lam_max, degree))
+    if box is None:
+        return
+    supports = [f.arrays() for f in fs]
+    if absolute:
+        supports = [(pts, np.abs(vals)) for pts, vals in supports]
+    order = sorted(range(len(fs)), key=lambda j: len(supports[j][1]))
+    for chunk in _iter_grid_chunks(box):
+        live = np.ones(len(chunk), dtype=bool)
+        for f in fs:
+            live &= _bbox_reach_mask(chunk, f.bbox, degree, lam_max)
+        idx = np.flatnonzero(live)
+        built: dict[int, np.ndarray] = {}
+        for j in order:
+            if len(idx) == 0:
+                break
+            prof = _level_profile(chunk[idx], *supports[j], degree, lam_max)
+            keep = prof.any(axis=1)
+            if not keep.all():
+                idx, prof = idx[keep], prof[keep]
+                built = {jj: p[keep] for jj, p in built.items()}
+            built[j] = prof
         if len(idx) == 0:
-            break
-        prof = _level_profile(pts[idx], fas[j], degree, lam_max)
-        keep = prof.any(axis=1)
-        if not keep.all():
-            idx = idx[keep]
-            prof = prof[keep]
-            for jj in order:
-                if profiles[jj] is not None:
-                    profiles[jj] = profiles[jj][keep]
-        profiles[j] = prof
-    if len(idx) == 0:
-        width = lam_max + 1
-        return idx, [np.zeros((0, width)) for _ in fas]
-    return idx, profiles  # type: ignore[return-value]
+            yield chunk, idx, [np.zeros((0, lam_max + 1)) for _ in fs]
+        else:
+            yield chunk, idx, [built[j] for j in range(len(fs))]
 
 
-def _norm_factors(cfg: OperatorConfig, cache: TableCache) -> np.ndarray:
-    """norm(lam) for lam = 0..lambda_max; 0 marks an empty sphere (skip)."""
-    spec, ell, lam_max = cfg.spec, cfg.linearity, cfg.lambda_max
-    if cfg.normalization is Normalization.ASYMPTOTIC:
+def _evaluate(
+    fs: list[GridFunction], degree: int, lam_max: int, reduce, absolute: bool = False
+) -> GridFunction:
+    """The function x -> reduce(profiles)(x) on the live rows, 0 elsewhere."""
+    values: dict[tuple[int, ...], float] = {}
+    for chunk, idx, profiles in _live_profiles(fs, degree, lam_max, absolute):
+        if len(idx) == 0:
+            continue
+        out = reduce(profiles)
+        nz = np.flatnonzero(out)
+        values.update(zip(map(tuple, chunk[idx[nz]].tolist()), out[nz].tolist()))
+    return GridFunction(fs[0].dim, values)
+
+
+def _norm_factors(
+    spec: SphereSpec, ell: int, normalization: Normalization, lam_max: int, cache: TableCache | None
+) -> np.ndarray:
+    """norm(lam) for lam = 0..lam_max; 0 marks an empty sphere (skip)."""
+    if normalization is Normalization.ASYMPTOTIC:
         expo = ell * spec.dim / spec.degree - 1.0
         lam = np.arange(lam_max + 1, dtype=np.float64)
         lam[0] = 1.0  # level zero uses unit normalization
         return lam**expo
     joint = SphereSpec(dim=spec.dim * ell, degree=spec.degree)
-    tab = cache.table(joint, lam_max)
+    tab = (cache if cache is not None else DEFAULT_CACHE).table(joint, lam_max)
     return np.array([float(c) for c in tab.counts[: lam_max + 1]], dtype=np.float64)
-
-
-def _collect_sparse(chunks, dim: int) -> GridFunction:
-    vals: dict[tuple[int, ...], float] = {}
-    for pts, vv in chunks:
-        nz = np.flatnonzero(vv)
-        for i in nz:
-            vals[tuple(int(c) for c in pts[i])] = float(vv[i])
-    return GridFunction(dim, vals)
 
 
 def multilinear_average(fs: list[GridFunction], lam: int, cfg: OperatorConfig,
@@ -272,59 +281,28 @@ def multilinear_average(fs: list[GridFunction], lam: int, cfg: OperatorConfig,
     function and emits EmptySphereWarning; a supremum scan must skip such
     levels rather than abort.
     """
-    _check_dims(fs, cfg.spec, cfg.linearity)
+    _validate(fs, cfg.spec, cfg.lambda_max, cfg.linearity)
     if not isinstance(lam, int) or not cfg.lambda_min <= lam <= cfg.lambda_max:
-        raise ParameterError(
-            f"lam={lam!r} outside [{cfg.lambda_min}, {cfg.lambda_max}]"
-        )
-    cache = cache if cache is not None else DEFAULT_CACHE
-    norms = _norm_factors(
-        OperatorConfig(cfg.spec, cfg.linearity, lam, cfg.normalization,
-                       min(cfg.lambda_min, lam)), cache
-    )
+        raise ParameterError(f"lam={lam!r} outside [{cfg.lambda_min}, {cfg.lambda_max}]")
+    norms = _norm_factors(cfg.spec, cfg.linearity, cfg.normalization, lam, cache)
     if cfg.normalization is Normalization.EXACT and norms[lam] == 0.0:
         warnings.warn(f"empty sphere at lam={lam}: average defined as 0", EmptySphereWarning)
         return GridFunction(cfg.spec.dim, {})
-    radius = kth_root_floor(lam, cfg.spec.degree)
-    box = _common_grid_box(fs, radius)
-    if box is None:
-        return GridFunction(cfg.spec.dim, {})
-    fas = [_FunctionArrays(f) for f in fs]
-    chunks = []
-    for pts in _iter_grid_chunks(box, cfg.spec.dim):
-        idx, profs = _pruned_profiles(pts, fas, fs, cfg.spec.degree, lam)
-        prof = profs[0]
-        for p in profs[1:]:
-            prof = _level_convolve(prof, p)
-        chunks.append((pts[idx], prof[:, lam] / norms[lam]))
-    return _collect_sparse(chunks, cfg.spec.dim)
+    return _evaluate(fs, cfg.spec.degree, lam, lambda profs: _fold(profs)[:, lam] / norms[lam])
 
 
 def multilinear_maximal(fs: list[GridFunction], cfg: OperatorConfig,
                         cache: TableCache | None = None) -> GridFunction:
     """sup over lam in [lambda_min, lambda_max] of |T_lam(f_1..f_l)|."""
-    _check_dims(fs, cfg.spec, cfg.linearity)
-    cache = cache if cache is not None else DEFAULT_CACHE
-    norms = _norm_factors(cfg, cache)
-    live_levels = [
-        lam for lam in range(cfg.lambda_min, cfg.lambda_max + 1) if norms[lam] != 0.0
-    ]
-    radius = kth_root_floor(cfg.lambda_max, cfg.spec.degree)
-    box = _common_grid_box(fs, radius)
-    if box is None or not live_levels:
+    _validate(fs, cfg.spec, cfg.lambda_max, cfg.linearity)
+    norms = _norm_factors(cfg.spec, cfg.linearity, cfg.normalization, cfg.lambda_max, cache)
+    levels = [lam for lam in range(cfg.lambda_min, cfg.lambda_max + 1) if norms[lam] != 0.0]
+    if not levels:
         return GridFunction(cfg.spec.dim, {})
-    fas = [_FunctionArrays(f) for f in fs]
-    chunks = []
-    for pts in _iter_grid_chunks(box, cfg.spec.dim):
-        idx, profs = _pruned_profiles(pts, fas, fs, cfg.spec.degree, cfg.lambda_max)
-        prof = profs[0]
-        for p in profs[1:]:
-            prof = _level_convolve(prof, p)
-        best = np.zeros(len(idx))
-        for lam in live_levels:
-            np.maximum(best, np.abs(prof[:, lam]) / norms[lam], out=best)
-        chunks.append((pts[idx], best))
-    return _collect_sparse(chunks, cfg.spec.dim)
+    return _evaluate(
+        fs, cfg.spec.degree, cfg.lambda_max,
+        lambda profs: (np.abs(_fold(profs)[:, levels]) / norms[levels]).max(axis=1),
+    )
 
 
 def hl_maximal(f: GridFunction, spec: SphereSpec, lambda_max: int) -> GridFunction:
@@ -332,24 +310,13 @@ def hl_maximal(f: GridFunction, spec: SphereSpec, lambda_max: int) -> GridFuncti
 
     M(f)(x) = max_{1 <= lam <= lambda_max} lam^(-d/k) * sum_{|u|^k <= lam} |f(x-u)|.
     """
-    if f.dim != spec.dim:
-        raise ParameterError(f"input dimension {f.dim} != spec dimension {spec.dim}")
-    if not isinstance(lambda_max, int) or lambda_max < 1:
-        raise ParameterError(f"lambda_max must be an integer >= 1, got {lambda_max!r}")
-    if f.bbox is None:
-        return GridFunction(spec.dim, {})
-    radius = kth_root_floor(lambda_max, spec.degree)
-    box = _common_grid_box([f], radius)
-    fa = _FunctionArrays(f, absolute=True)
-    lam = np.arange(1, lambda_max + 1, dtype=np.float64)
-    weights = lam ** (-spec.dim / spec.degree)
-    chunks = []
-    for pts in _iter_grid_chunks(box, spec.dim):
-        idx, (prof,) = _pruned_profiles(pts, [fa], [f], spec.degree, lambda_max)
-        cum = np.cumsum(prof, axis=1)
-        best = (cum[:, 1:] * weights).max(axis=1) if len(idx) else np.zeros(0)
-        chunks.append((pts[idx], best))
-    return _collect_sparse(chunks, spec.dim)
+    _validate([f], spec, lambda_max)
+    weights = np.arange(1, lambda_max + 1, dtype=np.float64) ** (-spec.dim / spec.degree)
+    return _evaluate(
+        [f], spec.degree, lambda_max,
+        lambda profs: (np.cumsum(profs[0], axis=1)[:, 1:] * weights).max(axis=1),
+        absolute=True,
+    )
 
 
 def linear_spherical_maximal(g: GridFunction, spec: SphereSpec, lambda_max: int) -> GridFunction:
@@ -358,29 +325,12 @@ def linear_spherical_maximal(g: GridFunction, spec: SphereSpec, lambda_max: int)
     S(g)(x) = max_{1 <= mu <= lambda_max} mu^(-(d/k - 1)) * |G_mu(x)|
     with G_mu the slice levels of g.
     """
-    if g.dim != spec.dim:
-        raise ParameterError(f"input dimension {g.dim} != spec dimension {spec.dim}")
-    if not isinstance(lambda_max, int) or lambda_max < 1:
-        raise ParameterError(f"lambda_max must be an integer >= 1, got {lambda_max!r}")
-    if g.bbox is None:
-        return GridFunction(spec.dim, {})
-    radius = kth_root_floor(lambda_max, spec.degree)
-    box = _common_grid_box([g], radius)
-    fa = _FunctionArrays(g)
-    mu = np.arange(1, lambda_max + 1, dtype=np.float64)
-    weights = mu ** (-(spec.dim / spec.degree - 1.0))
-    chunks = []
-    for pts in _iter_grid_chunks(box, spec.dim):
-        idx, (prof,) = _pruned_profiles(pts, [fa], [g], spec.degree, lambda_max)
-        best = (np.abs(prof[:, 1:]) * weights).max(axis=1) if len(idx) else np.zeros(0)
-        chunks.append((pts[idx], best))
-    return _collect_sparse(chunks, spec.dim)
-
-
-def _require_nonnegative(f: GridFunction, name: str) -> None:
-    for _, v in f.items_sorted():
-        if v < 0.0:
-            raise ParameterError(f"{name} must be nonnegative for the domination check")
+    _validate([g], spec, lambda_max)
+    weights = np.arange(1, lambda_max + 1, dtype=np.float64) ** (-(spec.dim / spec.degree - 1.0))
+    return _evaluate(
+        [g], spec.degree, lambda_max,
+        lambda profs: (np.abs(profs[0][:, 1:]) * weights).max(axis=1),
+    )
 
 
 def domination_check_multilinear(
@@ -400,12 +350,7 @@ def domination_check_multilinear(
     """
     if len(fs) < 2:
         raise ParameterError("domination check needs at least two input functions")
-    for i, f in enumerate(fs):
-        if f.dim != spec.dim:
-            raise ParameterError(f"input dimension {f.dim} != spec dimension {spec.dim}")
-        _require_nonnegative(f, f"input {i}")
-    if not isinstance(lambda_max, int) or lambda_max < 1:
-        raise ParameterError(f"lambda_max must be an integer >= 1, got {lambda_max!r}")
+    _validate(fs, spec, lambda_max, nonnegative=True)
     if (len(fs) - 1) * spec.dim < spec.degree:
         raise ParameterError(
             f"domination needs (linearity-1)*dim >= degree; got "
@@ -413,34 +358,22 @@ def domination_check_multilinear(
             "normalization is not monotone there and the bound fails)"
         )
     d, k, ell = spec.dim, spec.degree, len(fs)
-    radius = kth_root_floor(lambda_max, k)
-    box = _common_grid_box(fs, radius)
-    if box is None:
-        return DominationReport(0.0, None, lambda_max, 0)
-
-    lam = np.arange(lambda_max + 1, dtype=np.float64)
-    lam[0] = 1.0
-    full_norm = lam ** (ell * d / k - 1.0)        # joint average, level 0 unit
+    full_norm = _norm_factors(spec, ell, Normalization.ASYMPTOTIC, lambda_max, None)
+    rest_norm = _norm_factors(spec, ell - 1, Normalization.ASYMPTOTIC, lambda_max, None)
     ball_w = np.arange(1, lambda_max + 1, dtype=np.float64) ** (-d / k)
-    rest_norm = lam ** ((ell - 1) * d / k - 1.0)  # (l-1)-linear, level 0 unit
 
-    fas = [_FunctionArrays(f) for f in fs]
     worst = -math.inf
     worst_pt: tuple[int, ...] | None = None
     pruned_pt: tuple[int, ...] | None = None
     checked = 0
-    for pts in _iter_grid_chunks(box, d):
+    for pts, idx, profs in _live_profiles(fs, k, lambda_max):
         checked += len(pts)
-        idx, profs = _pruned_profiles(pts, fas, fs, k, lambda_max)
         if pruned_pt is None and len(idx) < len(pts):
             pruned = np.setdiff1d(np.arange(len(pts)), idx, assume_unique=True)
             pruned_pt = tuple(int(c) for c in pts[pruned[0]])
         if len(idx) == 0:
             continue
-        a = profs[0]
-        rest = profs[1]
-        for p in profs[2:]:
-            rest = _level_convolve(rest, p)
+        a, rest = profs[0], _fold(profs[1:])
         joint = _level_convolve(a, rest)
         lhs = (joint[:, 1:] / full_norm[1:]).max(axis=1)
         m_side = (np.cumsum(a, axis=1)[:, 1:] * ball_w).max(axis=1)

@@ -14,7 +14,7 @@ from spherelab import (
     joint_count,
     rep_counts,
 )
-from spherelab._convolve import _SPARSE_WORK_LIMIT, convolve_trunc
+from spherelab._convolve import _SPARSE_PAIRS_PER_COEFF, convolve_trunc
 from spherelab.counts import kth_root_floor, write_counts_csv, write_shell_csv
 
 from oracles import brute_convolve, brute_count, brute_shell
@@ -142,7 +142,7 @@ def test_dense_convolution_matches_brute(case):
     a, b, n_out = _dense_inputs(case)
     nnz_a = sum(1 for v in a if v)
     nnz_b = sum(1 for v in b if v)
-    assert nnz_a * nnz_b > _SPARSE_WORK_LIMIT  # the dense branch is the one under test
+    assert nnz_a * nnz_b > _SPARSE_PAIRS_PER_COEFF * n_out  # the dense branch is under test
     got = convolve_trunc(a, b, n_out)
     assert got == brute_convolve(a, b, n_out)
     assert all(type(c) is int for c in got)

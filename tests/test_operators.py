@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -24,6 +25,7 @@ from spherelab import (
     rep_counts,
     translate,
 )
+from spherelab import operators
 
 from oracles import brute_multilinear
 
@@ -106,16 +108,16 @@ def test_average_is_multilinear():
     cfg = OperatorConfig(spec, 2, 8, Normalization.ASYMPTOTIC)
     f1, f2, g = (random_function(rng, 2) for _ in range(3))
     a, b = 1.3, -0.7
-    from spherelab.grids import add, scale
-
-    combo = multilinear_average([add(scale(f1, a), scale(f2, b)), g], 8, cfg)
+    keys = set(f1.values) | set(f2.values)
+    combo_in = GridFunction(2, {p: a * f1.value(p) + b * f2.value(p) for p in keys})
+    combo = multilinear_average([combo_in, g], 8, cfg)
     part1 = multilinear_average([f1, g], 8, cfg)
     part2 = multilinear_average([f2, g], 8, cfg)
-    want = add(scale(part1, a), scale(part2, b))
-    keys = set(combo.values) | set(want.values)
-    scale_ref = max((abs(want.value(k)) for k in keys), default=1.0) or 1.0
+    keys = set(combo.values) | set(part1.values) | set(part2.values)
+    want = {k: a * part1.value(k) + b * part2.value(k) for k in keys}
+    scale_ref = max((abs(v) for v in want.values()), default=1.0) or 1.0
     for key in keys:
-        assert abs(combo.value(key) - want.value(key)) <= 1e-12 * scale_ref
+        assert abs(combo.value(key) - want[key]) <= 1e-12 * scale_ref
 
 
 def test_translation_equivariance_exact():
@@ -195,10 +197,8 @@ def test_hl_maximal_homogeneous():
     rng = random.Random(17)
     spec = SphereSpec(2, 2)
     f = random_function(rng, 2, nonnegative=True)
-    from spherelab.grids import scale
-
     m1 = hl_maximal(f, spec, 12)
-    m3 = hl_maximal(scale(f, 3.0), spec, 12)
+    m3 = hl_maximal(GridFunction(2, {p: 3.0 * v for p, v in f.values.items()}), spec, 12)
     for p, v in m1.items_sorted():
         assert m3.value(p) == pytest.approx(3.0 * v, rel=1e-12)
 
@@ -299,6 +299,65 @@ def test_domination_trilinear_all_rearrangements():
         order = [fs[i]] + [fs[j] for j in range(3) if j != i]
         rep = domination_check_multilinear(order, spec, 25)
         assert rep.max_violation <= 1e-9, (i, rep.max_violation)
+
+
+def test_domination_points_checked_is_box_size(monkeypatch):
+    # radius 3: f dilates to [-4, 4]^3 and g to [-1, 5] x [-3, 3]^2, so the
+    # evaluation box is [-1, 4] x [-3, 3]^2; dead rows are counted too
+    spec = SphereSpec(3, 2)
+    f = make_box_indicator(3, 1)
+    g = translate(make_delta(3), (2, 0, 0))
+    for rows in (1 << 16, 7):
+        monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
+        assert domination_check(f, g, spec, 10).points_checked == 6 * 7 * 7
+
+
+def test_domination_reports_first_pruned_row_when_live_rows_are_negative(monkeypatch):
+    # two unit masses 6 apart, lam_max = 8 (radius 2): the box is
+    # [-2, 8] x [-2, 2] and its first rows are live, while rows midway
+    # between the masses lie inside both bboxes but reach no support point
+    spec = SphereSpec(2, 2)
+    f = GridFunction(2, {(0, 0): 1.0, (6, 0): 1.0})
+    lam_max = 8
+    box = list(itertools.product(range(-2, 9), range(-2, 3)))
+    reach = {x: min((x[0] - p[0]) ** 2 + (x[1] - p[1]) ** 2 for p in f.values) for x in box}
+    live = [x for x in box if reach[x] <= lam_max]
+    pruned = [x for x in box if reach[x] > lam_max]
+    assert live[0] == box[0] and pruned[0] == (3, -2)
+    # every live row has LHS - RHS < 0 (RHS as in the test above)
+    lhs = multilinear_maximal([f, f], OperatorConfig(spec, 2, lam_max, Normalization.ASYMPTOTIC))
+    m = hl_maximal(f, spec, lam_max)
+    s = linear_spherical_maximal(f, spec, lam_max)
+    assert all(lhs.value(x) - m.value(x) * max(s.value(x), f.value(x)) < 0.0 for x in live)
+    for rows in (1 << 16, 7):
+        monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
+        rep = domination_check(f, f, spec, lam_max)
+        assert rep.max_violation == 0.0
+        assert rep.argmax_point == pruned[0]
+        assert rep.points_checked == len(box)
+
+
+def test_outputs_independent_of_chunk_size(monkeypatch):
+    # a 600-point support with non-integer values is scattered in several
+    # blocks, so its sums only match if the block split ignores the chunking
+    rng = random.Random(4242)
+    spec = SphereSpec(3, 2)
+    f = random_function(rng, 3, size=600, span=6, nonnegative=True)
+    g = random_function(rng, 3, size=40, span=3, nonnegative=True)
+    lam_max = 16
+    cfg = OperatorConfig(spec, 2, lam_max, Normalization.ASYMPTOTIC)
+    outputs = []
+    for rows in (1 << 16, 512):
+        monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
+        outputs.append([
+            repr(multilinear_average([f, g], lam_max, cfg).items_sorted()),
+            repr(multilinear_maximal([f, g], cfg).items_sorted()),
+            repr(hl_maximal(f, spec, lam_max).items_sorted()),
+            repr(linear_spherical_maximal(f, spec, lam_max).items_sorted()),
+            repr(domination_check(f, g, spec, lam_max)),
+        ])
+    for big, small in zip(*outputs):
+        assert big == small
 
 
 def test_domination_rejects_negative_input():
