@@ -26,11 +26,9 @@ from .errors import (
 )
 from .grids import (
     GridFunction,
-    lp_norm,
     make_box_indicator,
     make_delta,
     read_grid_text,
-    translate,
     write_grid_text,
 )
 from .operators import (
@@ -86,7 +84,6 @@ __all__ = [
     "hl_maximal",
     "joint_count",
     "linear_spherical_maximal",
-    "lp_norm",
     "make_box_indicator",
     "make_delta",
     "multilinear_average",
@@ -97,7 +94,6 @@ __all__ = [
     "read_grid_text",
     "region_classify",
     "rep_counts",
-    "translate",
     "witness_value",
     "witness_values",
     "write_grid_text",

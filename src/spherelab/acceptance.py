@@ -5,9 +5,12 @@ deterministic (fixed seeds, no timestamps, no timings), so serialized
 reports are byte-identical across reruns and worker counts.  Elapsed time
 is carried next to the payload, never inside it.
 
-Oracles here are deliberately independent of the library paths they check:
-representation counts are re-derived by nested coordinate enumeration, and
-multilinear averages by walking the joint sphere in Z^(l*d) directly.
+The brute-force oracles below are the only copies in the project: the test
+suite and the benchmark reach them through tests/oracles.py.  They are
+deliberately independent of the library paths they check: representation
+counts are re-derived by full coordinate enumeration, shells by recursive
+descent over the coordinates, and multilinear averages by walking the joint
+sphere in Z^(l*d) directly.
 """
 
 from __future__ import annotations
@@ -67,13 +70,13 @@ def brute_rep_count_table(dim: int, degree: int, lam_max: int) -> list[int]:
     return out
 
 
-def brute_joint_shell(dim_total: int, degree: int, lam: int) -> list[tuple[int, ...]]:
-    """All w in Z^(dim_total) with sum |w_i|^k = lam, by recursive descent."""
+def brute_shell(dim: int, degree: int, lam: int) -> list[tuple[int, ...]]:
+    """All u in Z^dim with sum |u_i|^k = lam, lexicographic, by recursive descent."""
     pts: list[tuple[int, ...]] = []
-    buf = [0] * dim_total
+    buf = [0] * dim
 
     def rec(axis: int, remaining: int) -> None:
-        if axis == dim_total:
+        if axis == dim:
             if remaining == 0:
                 pts.append(tuple(buf))
             return
@@ -88,19 +91,19 @@ def brute_joint_shell(dim_total: int, degree: int, lam: int) -> list[tuple[int, 
     return pts
 
 
-def brute_multilinear_average(
-    fs: list[GridFunction], lam: int, spec: SphereSpec, linearity: int, exact: bool
+def brute_multilinear(
+    fs: list[GridFunction], lam: int, dim: int, degree: int, exact: bool
 ) -> dict[tuple[int, ...], float]:
-    """Joint-sphere walk in Z^(l*d): the sum behind T_lam, point by point."""
-    d = spec.dim
-    shell = brute_joint_shell(d * linearity, spec.degree, lam)
+    """Joint-sphere walk in Z^(l*d), l = len(fs): the sum behind T_lam, point by point."""
+    ell = len(fs)
+    shell = brute_shell(dim * ell, degree, lam)
     acc: dict[tuple[int, ...], float] = {}
     for w in shell:
-        parts = [w[j * d : (j + 1) * d] for j in range(linearity)]
+        parts = [w[j * dim : (j + 1) * dim] for j in range(ell)]
         for y, v0 in fs[0].items_sorted():
             x = tuple(a + b for a, b in zip(y, parts[0]))
             prod = v0
-            for j in range(1, linearity):
+            for j in range(1, ell):
                 prod *= fs[j].value(tuple(a - b for a, b in zip(x, parts[j])))
                 if prod == 0.0:
                     break
@@ -111,7 +114,7 @@ def brute_multilinear_average(
         if n_points == 0:
             return {}
         return {x: v / n_points for x, v in acc.items() if v != 0.0}
-    norm = float(lam) ** (linearity * d / spec.degree - 1.0)
+    norm = float(lam) ** (ell * dim / degree - 1.0)
     return {x: v / norm for x, v in acc.items() if v != 0.0}
 
 
@@ -212,7 +215,7 @@ def experiment_3() -> ExperimentResult:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = multilinear_average(fs, lam, cfg)
-        want = brute_multilinear_average(fs, lam, spec, ell, exact)
+        want = brute_multilinear(fs, lam, d, k, exact)
         keys = set(got.values) | set(want.keys())
         scale = max((abs(v) for v in want.values()), default=1.0) or 1.0
         for key in keys:

@@ -23,6 +23,7 @@ where PATH uses the grid-function text format (first line d, then
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -89,14 +90,7 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_vector(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ParameterError(f"bad integer vector {text!r}") from exc
-
-
-def _parse_int_list(text: str) -> list[int]:
+def _parse_ints(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]
     except ValueError as exc:
@@ -105,14 +99,9 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _parse_exponent(text: str):
     """Accept decimals ('0.625') and exact fractions ('5/8')."""
-    if "/" in text:
-        try:
-            return Fraction(text)
-        except ValueError as exc:
-            raise ParameterError(f"bad exponent {text!r}") from exc
     try:
-        return float(text)
-    except ValueError as exc:
+        return Fraction(text) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"bad exponent {text!r}") from exc
 
 
@@ -191,7 +180,7 @@ def _operator_inputs(args) -> list[GridFunction]:
 def _cmd_avg(args) -> int:
     spec = SphereSpec(args.dim, args.degree)
     cfg = OperatorConfig(spec, args.linearity, getattr(args, "lambda"),
-                         Normalization.parse(args.normalization), args.lambda_min)
+                         Normalization(args.normalization), args.lambda_min)
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         result = multilinear_average(_operator_inputs(args), getattr(args, "lambda"), cfg)
@@ -202,22 +191,15 @@ def _cmd_avg(args) -> int:
 def _cmd_maxop(args) -> int:
     spec = SphereSpec(args.dim, args.degree)
     cfg = OperatorConfig(spec, args.linearity, args.lambda_max,
-                         Normalization.parse(args.normalization), args.lambda_min)
+                         Normalization(args.normalization), args.lambda_min)
     result = multilinear_maximal(_operator_inputs(args), cfg)
     _emit(_grid_text(result), args.out)
     return 0
 
 
-def _cmd_hlmax(args) -> int:
+def _cmd_linear_max(operator, args) -> int:
     spec = SphereSpec(args.dim, args.degree)
-    result = hl_maximal(_load_function(args.fn, args.dim), spec, args.lambda_max)
-    _emit(_grid_text(result), args.out)
-    return 0
-
-
-def _cmd_sphmax(args) -> int:
-    spec = SphereSpec(args.dim, args.degree)
-    result = linear_spherical_maximal(_load_function(args.fn, args.dim), spec, args.lambda_max)
+    result = operator(_load_function(args.fn, args.dim), spec, args.lambda_max)
     _emit(_grid_text(result), args.out)
     return 0
 
@@ -233,7 +215,7 @@ def _cmd_dominate(args) -> int:
 
 def _cmd_witness(args) -> int:
     spec = WitnessSpec(args.dim, args.degree, args.linearity, args.box)
-    point = _parse_vector(args.point)
+    point = tuple(_parse_ints(args.point))
     value = witness_value(point, spec, exact=(args.normalization == "exact"))
     _emit(f"{value!r}\n", args.out)
     return 0
@@ -241,7 +223,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_decay(args) -> int:
     spec = WitnessSpec(args.dim, args.degree, args.linearity, args.box)
-    report = decay_fit(spec, _parse_vector(args.direction), (args.t_min, args.t_max),
+    report = decay_fit(spec, _parse_ints(args.direction), (args.t_min, args.t_max),
                        num_samples=args.samples)
     _emit(_json_text(report.as_dict()), args.out)
     return 0
@@ -250,7 +232,7 @@ def _cmd_decay(args) -> int:
 def _cmd_normscan(args) -> int:
     spec = WitnessSpec(args.dim, args.degree, args.linearity, args.box)
     r = _parse_exponent(args.r)
-    scan = partial_norm_scan(spec, float(r), _parse_int_list(args.radii),
+    scan = partial_norm_scan(spec, float(r), _parse_ints(args.radii),
                              seed=args.seed, exact_budget=args.exact_budget,
                              samples_per_region=args.samples)
     if args.csv:
@@ -388,17 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_fn_inputs(s, multiple=True)
     s.set_defaults(func=_cmd_maxop)
 
-    s = subs.add_parser("hlmax", help="Hardy-Littlewood maximal function over k-balls")
-    _add_common(s)
-    s.add_argument("--lambda-max", type=int, required=True)
-    add_fn_inputs(s, multiple=False)
-    s.set_defaults(func=_cmd_hlmax)
-
-    s = subs.add_parser("sphmax", help="linear spherical maximal function")
-    _add_common(s)
-    s.add_argument("--lambda-max", type=int, required=True)
-    add_fn_inputs(s, multiple=False)
-    s.set_defaults(func=_cmd_sphmax)
+    for name, operator, help_text in (
+        ("hlmax", hl_maximal, "Hardy-Littlewood maximal function over k-balls"),
+        ("sphmax", linear_spherical_maximal, "linear spherical maximal function"),
+    ):
+        s = subs.add_parser(name, help=help_text)
+        _add_common(s)
+        s.add_argument("--lambda-max", type=int, required=True)
+        add_fn_inputs(s, multiple=False)
+        s.set_defaults(func=functools.partial(_cmd_linear_max, operator))
 
     s = subs.add_parser("dominate", help="pointwise domination check T* <= M(f) * S~(g)")
     _add_common(s)

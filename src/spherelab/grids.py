@@ -66,9 +66,6 @@ class GridFunction:
     def support_size(self) -> int:
         return len(self._values)
 
-    def is_zero(self) -> bool:
-        return not self._values
-
     def mass(self) -> float:
         return sum(v for _, v in self.items_sorted())
 
@@ -114,21 +111,6 @@ def make_box_indicator(dim: int, radius: int, *, budget: int = DEFAULT_SUPPORT_B
     ).reshape(-1, dim)
     vals = {tuple(int(c) for c in row): 1.0 for row in pts}
     return GridFunction(dim, vals, budget=budget)
-
-
-def translate(f: GridFunction, shift) -> GridFunction:
-    shift = tuple(int(c) for c in shift)
-    if len(shift) != f.dim:
-        raise ParameterError(f"shift {shift!r} does not have dimension {f.dim}")
-    return GridFunction(f.dim, {tuple(p + s for p, s in zip(pt, shift)): v for pt, v in f.values.items()})
-
-
-def lp_norm(f: GridFunction, p: float) -> float:
-    """(sum |f(x)|^p)^(1/p) for 0 < p < infinity (quasi-norms included)."""
-    if not p > 0:
-        raise ParameterError(f"p must be positive, got {p!r}")
-    total = sum(abs(v) ** p for _, v in f.items_sorted())
-    return total ** (1.0 / p)
 
 
 def write_grid_text(f: GridFunction, stream) -> None:

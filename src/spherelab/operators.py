@@ -57,23 +57,13 @@ from .errors import EmptySphereWarning, ParameterError
 from .grids import GridFunction
 from .reports import DominationReport
 
-_CHUNK_ROWS = 1 << 16
+_CHUNK_ROWS = 1 << 13       # rows per grid chunk: the one bound on working memory
 _SUPPORT_BLOCK = 256        # support points per scatter: fixes each row's sum order
-_BLOCK_CELLS = 2_000_000    # (row, support point) pairs per scatter: bounds memory
 
 
 class Normalization(enum.Enum):
     EXACT = "exact"
     ASYMPTOTIC = "asymptotic"
-
-    @classmethod
-    def parse(cls, text: str) -> "Normalization":
-        try:
-            return cls(text.lower())
-        except ValueError:
-            raise ParameterError(
-                f"normalization must be 'exact' or 'asymptotic', got {text!r}"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -158,32 +148,27 @@ def _level_profile(
 ) -> np.ndarray:
     """Profile A(i, nu) = sum over the support of f(s) at level nu = |x_i - s|^k.
 
-    Each block of _SUPPORT_BLOCK support points scatters through one
-    weighted bincount and the block sums are added in support order; rows
-    are split only to bound memory.  So the summation order of a row is
-    fixed by the support alone, whatever rows are evaluated with it.
+    Each block of _SUPPORT_BLOCK support points scatters all rows through
+    one weighted bincount, and the block sums are added in support order.
+    So the summation order of a row is fixed by the support alone, whatever
+    rows are evaluated with it; the caller's chunk size bounds the memory.
     """
     n, width = len(points), lam_max + 1
     prof = np.zeros((n, width), dtype=np.float64)
     for s in range(0, len(sup_vals), _SUPPORT_BLOCK):
         sup = sup_pts[s : s + _SUPPORT_BLOCK]          # (B, d)
         vals = sup_vals[s : s + _SUPPORT_BLOCK]        # (B,)
-        step = _BLOCK_CELLS // len(vals)
-        for r in range(0, n, step):
-            rows = points[r : r + step]
-            lev = np.zeros((len(rows), len(vals)), dtype=np.int64)
-            for axis in range(points.shape[1]):
-                dcol = rows[:, axis][:, None] - sup[None, :, axis]
-                if degree == 2:
-                    lev += dcol * dcol
-                else:
-                    lev += np.abs(dcol) ** degree
-            mask = lev <= lam_max
-            idx = (np.arange(len(rows), dtype=np.int64)[:, None] * width + lev)[mask]
-            weights = np.broadcast_to(vals[None, :], mask.shape)[mask]
-            prof[r : r + step] += np.bincount(
-                idx, weights=weights, minlength=len(rows) * width
-            ).reshape(len(rows), width)
+        lev = np.zeros((n, len(vals)), dtype=np.int64)
+        for axis in range(points.shape[1]):
+            dcol = points[:, axis][:, None] - sup[None, :, axis]
+            if degree == 2:
+                lev += dcol * dcol
+            else:
+                lev += np.abs(dcol) ** degree
+        mask = lev <= lam_max
+        idx = (np.arange(n, dtype=np.int64)[:, None] * width + lev)[mask]
+        weights = np.broadcast_to(vals[None, :], mask.shape)[mask]
+        prof += np.bincount(idx, weights=weights, minlength=n * width).reshape(n, width)
     return prof
 
 

@@ -76,6 +76,3 @@ class RegionVerdict:
 
     verdict: str  # BOUNDED | UNBOUNDED | UNKNOWN
     reason: str
-
-    def as_dict(self) -> dict:
-        return {"verdict": self.verdict, "reason": self.reason}

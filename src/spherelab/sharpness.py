@@ -90,15 +90,11 @@ def critical_r(dim: int, degree: int, linearity: int) -> Fraction:
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    """x as an exact rational (a float gives its exact binary value)."""
+    try:
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary value of the float
-    if isinstance(x, str):
-        return Fraction(x)
-    raise ParameterError(f"cannot interpret {x!r} as a rational number")
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ParameterError(f"cannot interpret {x!r} as a finite rational number") from None
 
 
 def r0_bound(delta0, linearity: int) -> Fraction:
@@ -317,8 +313,8 @@ def partial_norm_scan(
     enumerated exactly; larger ones are sampled (seeded per region, so the
     result is independent of any execution partitioning).
     """
-    if not r > 0:
-        raise ParameterError(f"r must be positive, got {r!r}")
+    if not 0 < r < math.inf:
+        raise ParameterError(f"r must be positive and finite, got {r!r}")
     if len(radii) < 2:
         raise ParameterError("need at least two radii")
     if any(not isinstance(R, int) or R < 1 for R in radii):

@@ -1,8 +1,9 @@
-"""Brute-force oracles used by the tests.
+"""Brute-force oracles used by the tests and by perfbench's checks.
 
-Deliberately naive and independent of the library code paths: counts by
-full coordinate enumeration over itertools.product, averages by walking
-the joint sphere in Z^(l*d) tuple by tuple, slice families shell by shell.
+The count, shell and multilinear oracles are defined once, in
+spherelab.acceptance, and re-exported here, so the tests and perfbench
+reach them through this module.  All oracles are deliberately naive and
+independent of the library code paths they check.
 """
 
 from __future__ import annotations
@@ -12,37 +13,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from spherelab import BudgetError, GridFunction, ParameterError, SphereSpec
+from spherelab.acceptance import brute_multilinear, brute_rep_count_table, brute_shell  # noqa: F401
 
 DEFAULT_SLICE_WORK_BUDGET = 5 * 10**7
-
-
-def kth_root(m: int, k: int) -> int:
-    r = 0
-    while (r + 1) ** k <= m:
-        r += 1
-    return r
-
-
-def brute_count(dim: int, degree: int, lam: int) -> int:
-    if lam < 0:
-        return 0
-    root = kth_root(lam, degree)
-    coords = range(-root, root + 1)
-    return sum(
-        1
-        for u in itertools.product(coords, repeat=dim)
-        if sum(abs(c) ** degree for c in u) == lam
-    )
-
-
-def brute_shell(dim: int, degree: int, lam: int) -> list[tuple[int, ...]]:
-    root = kth_root(lam, degree)
-    coords = range(-root, root + 1)
-    return sorted(
-        u
-        for u in itertools.product(coords, repeat=dim)
-        if sum(abs(c) ** degree for c in u) == lam
-    )
 
 
 def brute_convolve(a: list[int], b: list[int], n_out: int) -> list[int]:
@@ -53,37 +26,6 @@ def brute_convolve(a: list[int], b: list[int], n_out: int) -> list[int]:
             if i + j < n_out:
                 out[i + j] += a[i] * b[j]
     return out
-
-
-def brute_multilinear(fs, lam: int, dim: int, degree: int, exact: bool):
-    """T_lam by full joint-sphere enumeration; returns {point: value}."""
-    ell = len(fs)
-    root = kth_root(lam, degree)
-    coords = range(-root, root + 1)
-    shell = [
-        w
-        for w in itertools.product(coords, repeat=dim * ell)
-        if sum(abs(c) ** degree for c in w) == lam
-    ]
-    acc: dict[tuple[int, ...], float] = {}
-    support0 = sorted(fs[0].values.items())
-    for w in shell:
-        parts = [w[j * dim : (j + 1) * dim] for j in range(ell)]
-        for y, v0 in support0:
-            x = tuple(a + b for a, b in zip(y, parts[0]))
-            prod = v0
-            for j in range(1, ell):
-                prod *= fs[j].value(tuple(a - b for a, b in zip(x, parts[j])))
-                if prod == 0.0:
-                    break
-            if prod != 0.0:
-                acc[x] = acc.get(x, 0.0) + prod
-    if exact:
-        if not shell:
-            return {}
-        return {x: v / len(shell) for x, v in acc.items() if v != 0.0}
-    norm = float(lam) ** (ell * dim / degree - 1.0)
-    return {x: v / norm for x, v in acc.items() if v != 0.0}
 
 
 def brute_witness(x, dim: int, degree: int, linearity: int, box_radius: int) -> float:

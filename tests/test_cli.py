@@ -206,6 +206,23 @@ def test_exit_code_bad_function_input(fn_text, tmp_path, capsys):
     assert "error (parameters)" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["region", "--dim", "5", "--p", "nan", "--q", "2", "--r", "1"],
+    ["region", "--dim", "5", "--p", "inf", "--q", "2", "--r", "1"],
+    ["region", "--dim", "5", "--p", "1/0", "--q", "2", "--r", "1"],
+    ["region", "--dim", "5", "--p", "2", "--q", "2", "--r", "nan"],
+    ["exponents", "--dim", "5", "--delta0", "nan"],
+    ["exponents", "--dim", "5", "--delta0", "inf"],
+    ["normscan", "--dim", "5", "--r", "inf", "--radii", "8,16"],
+    ["normscan", "--dim", "5", "--r", "1/0", "--radii", "8,16"],
+])
+def test_exit_code_bad_exponent(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "error (parameters)" in err
+    assert out == ""
+
+
 def test_exit_code_analysis_error(capsys):
     code, _, err = run_cli(
         ["decay", "--dim", "5", "--degree", "2", "--linearity", "2", "--box", "1",

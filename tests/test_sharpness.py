@@ -247,6 +247,9 @@ def test_norm_scan_parameter_errors():
         partial_norm_scan(W5, 0.7, [8, 16], seed=-1)
     with pytest.raises(ParameterError):
         partial_norm_scan(W5, 0.7, [8, 16], samples_per_region=0)
+    for r in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            partial_norm_scan(W5, r, [8, 16])
 
 
 def test_region_examples():
@@ -290,3 +293,15 @@ def test_region_rejects_bad_exponents():
         region_classify(2, 2, -1, 5)
     with pytest.raises(ParameterError):
         region_classify(2, 2, 1, 5, degree=3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1/0", "abc", None])
+def test_exponent_inputs_must_be_finite_rationals(bad):
+    with pytest.raises(ParameterError):
+        region_classify(bad, 2, 1, 5)
+    with pytest.raises(ParameterError):
+        region_classify(2, 2, bad, 5)
+    with pytest.raises(ParameterError):
+        r0_bound(bad, 2)
+    with pytest.raises(ParameterError):
+        p0_bound(bad, 5, 2)
