@@ -18,15 +18,21 @@ f_j(x - u),  nu = 0..Lam.  The left fold of pairwise level convolutions
 
 gives T_lam(x) = P(x, lam) / norm(lam).  One engine, _live_profiles, builds
 the profiles for every operator, and each operator is a reduction of them.
-It walks the integer points of the sup-norm dilation (radius
+Its rows lie in the common box: the sup-norm dilations (radius
 floor(Lam^(1/k))) of the supports' bounding boxes, intersected across
-inputs, in fixed-size lexicographic chunks, and drops the rows whose
-k-distance to some bounding box exceeds Lam, then the rows where some
-profile is identically zero; every operator is zero there, so pruning never
-changes a value.  Profiles are scattered from the support in fixed-size
-blocks whose sums are added in support order, so the summation order of
+inputs.  When that box spans more than one chunk and the smallest support
+S_0 plus the k-ball B = {u : |u|^k <= Lam} has no more points than the box
+(and the support budget), only the rows of S_0 + B are walked: any other
+row has A_0 identically zero.  Otherwise the whole box is walked.  Either
+way rows come in lexicographic order, in chunks of at most _CHUNK_ROWS rows
+and _CHUNK_CELLS profile cells; a single row above the cell budget raises
+BudgetError.  Rows whose k-distance to some bounding box exceeds Lam are
+dropped, then rows where some profile is identically zero; every operator
+is zero there, so pruning never changes a value.  Profiles are scattered
+from the support in fixed-size blocks whose sums are added in support
+order, and every later step works row by row, so the summation order of
 every value depends on the support alone: outputs are byte-identical for
-any chunk size.
+any chunk size and either row source.
 
 Pointwise domination: for nonnegative inputs and asymptotic normalization,
 
@@ -53,11 +59,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counts import DEFAULT_CACHE, SphereSpec, TableCache, kth_root_floor
-from .errors import EmptySphereWarning, ParameterError
-from .grids import GridFunction
+from .errors import BudgetError, EmptySphereWarning, ParameterError
+from .grids import DEFAULT_SUPPORT_BUDGET, GridFunction
 from .reports import DominationReport
 
-_CHUNK_ROWS = 1 << 13       # rows per grid chunk: the one bound on working memory
+_CHUNK_ROWS = 1 << 13       # rows per grid chunk
+_CHUNK_CELLS = 1 << 18      # cells per chunk (rows x levels) and per scatter slice: bounds working memory
 _SUPPORT_BLOCK = 256        # support points per scatter: fixes each row's sum order
 
 
@@ -108,24 +115,84 @@ def _validate(
             raise ParameterError(f"input {i} must be nonnegative for the domination check")
 
 
-def _common_grid_box(fs: list[GridFunction], radius: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Intersection of each support bbox dilated by radius in sup-norm."""
+def _common_grid_box(fs: list[GridFunction], radius: int) -> tuple[np.ndarray, tuple[int, ...]] | None:
+    """(lower corner, shape) of the intersection of each support bbox dilated by radius in sup-norm."""
     if any(f.bbox is None for f in fs):
         return None
-    lo = tuple(max(c) - radius for c in zip(*(f.bbox[0] for f in fs)))
-    hi = tuple(min(c) + radius for c in zip(*(f.bbox[1] for f in fs)))
-    return None if any(a > b for a, b in zip(lo, hi)) else (lo, hi)
+    lo = [max(c) - radius for c in zip(*(f.bbox[0] for f in fs))]
+    hi = [min(c) + radius for c in zip(*(f.bbox[1] for f in fs))]
+    if any(a > b for a, b in zip(lo, hi)):
+        return None
+    return np.array(lo, dtype=np.int64), tuple(b - a + 1 for a, b in zip(lo, hi))
 
 
-def _iter_grid_chunks(box):
-    """Yield (N,d) int64 arrays covering the box in lexicographic order."""
-    lo, hi = box
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    total = math.prod(shape)
-    lo_arr = np.array(lo, dtype=np.int64)
-    for start in range(0, total, _CHUNK_ROWS):
-        flat = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
-        yield np.stack(np.unravel_index(flat, shape), axis=1).astype(np.int64) + lo_arr
+def _ball_offsets(dim: int, degree: int, lam_max: int) -> np.ndarray:
+    """All u in Z^dim with |u|^k <= lam_max, as (N, dim) int64 rows in lexicographic order.
+
+    Axis-by-axis descent: each prefix is extended by every coordinate c with
+    |c|^k within its remaining level, in ascending order, so the rows stay
+    sorted and no rejected row is ever built.
+    """
+    powers = np.arange(kth_root_floor(lam_max, degree) + 1, dtype=np.int64) ** degree
+    pts = np.zeros((1, 0), dtype=np.int64)
+    level = np.zeros(1, dtype=np.int64)
+    for _ in range(dim):
+        root = np.searchsorted(powers, lam_max - level, side="right") - 1
+        width = 2 * root + 1
+        first = np.repeat(np.cumsum(width) - width + root, width)   # index of c = 0, per new row
+        coord = np.arange(len(first), dtype=np.int64) - first
+        pts = np.column_stack([np.repeat(pts, width, axis=0), coord])
+        level = np.repeat(level, width) + np.abs(coord) ** degree
+    return pts
+
+
+def _candidate_rows(sup_pts: np.ndarray, offsets: np.ndarray, lo: np.ndarray, shape) -> np.ndarray:
+    """Sorted distinct flat box indices of the points sup_pts + offsets inside the box."""
+    block = max(1, _CHUNK_CELLS // len(offsets))
+    cand = np.empty(len(sup_pts) * len(offsets), dtype=np.int64)
+    end = 0
+    for s in range(0, len(sup_pts), block):
+        sup = sup_pts[s : s + block]
+        flat = np.zeros((len(sup), len(offsets)), dtype=np.int64)
+        inside = np.ones(flat.shape, dtype=bool)
+        for axis, size in enumerate(shape):
+            coord = sup[:, axis, None] + (offsets[:, axis] - lo[axis])
+            inside &= (coord >= 0) & (coord < size)
+            flat *= size
+            flat += coord
+        flat = flat[inside]
+        cand[end : end + len(flat)] = flat
+        end += len(flat)
+    cand = cand[:end]
+    cand.sort()
+    first = np.ones(end, dtype=bool)
+    first[1:] = cand[1:] != cand[:-1]
+    return cand[first]
+
+
+def _row_chunks(lo: np.ndarray, shape, sup_pts: np.ndarray, degree: int, lam_max: int):
+    """Yield sorted flat box indices of the rows to evaluate, one chunk at a time.
+
+    sup_pts is the smallest support.  Its dilation by the k-ball holds every
+    row where that input's profile can be nonzero; it is walked instead of
+    the box when the box spans several chunks and the dilation is no larger
+    than the box or the support budget.
+    """
+    total, rows = math.prod(shape), min(_CHUNK_ROWS, _CHUNK_CELLS // (lam_max + 1))
+    if rows == 0:
+        raise BudgetError(
+            f"one row of {lam_max + 1} levels exceeds the chunk budget of {_CHUNK_CELLS} cells"
+        )
+    if total > rows:
+        dim = len(shape)
+        ball = sum(DEFAULT_CACHE.table(SphereSpec(dim, degree), lam_max).counts[: lam_max + 1])
+        if len(sup_pts) * ball <= min(total, DEFAULT_SUPPORT_BUDGET):
+            cand = _candidate_rows(sup_pts, _ball_offsets(dim, degree, lam_max), lo, shape)
+            for start in range(0, len(cand), rows):
+                yield cand[start : start + rows]
+            return
+    for start in range(0, total, rows):
+        yield np.arange(start, min(start + rows, total), dtype=np.int64)
 
 
 def _bbox_reach_mask(points: np.ndarray, bbox, degree: int, lam_max: int) -> np.ndarray:
@@ -148,39 +215,61 @@ def _level_profile(
 ) -> np.ndarray:
     """Profile A(i, nu) = sum over the support of f(s) at level nu = |x_i - s|^k.
 
-    Each block of _SUPPORT_BLOCK support points scatters all rows through
+    Each block of _SUPPORT_BLOCK support points scatters the rows through
     one weighted bincount, and the block sums are added in support order.
     So the summation order of a row is fixed by the support alone, whatever
-    rows are evaluated with it; the caller's chunk size bounds the memory.
+    rows are evaluated with it.  Rows are scattered in slices of at most
+    _CHUNK_CELLS (row, support point) pairs, which bounds the temporaries.
     """
     n, width = len(points), lam_max + 1
     prof = np.zeros((n, width), dtype=np.float64)
-    for s in range(0, len(sup_vals), _SUPPORT_BLOCK):
-        sup = sup_pts[s : s + _SUPPORT_BLOCK]          # (B, d)
-        vals = sup_vals[s : s + _SUPPORT_BLOCK]        # (B,)
-        lev = np.zeros((n, len(vals)), dtype=np.int64)
-        for axis in range(points.shape[1]):
-            dcol = points[:, axis][:, None] - sup[None, :, axis]
-            if degree == 2:
-                lev += dcol * dcol
-            else:
-                lev += np.abs(dcol) ** degree
-        mask = lev <= lam_max
-        idx = (np.arange(n, dtype=np.int64)[:, None] * width + lev)[mask]
-        weights = np.broadcast_to(vals[None, :], mask.shape)[mask]
-        prof += np.bincount(idx, weights=weights, minlength=n * width).reshape(n, width)
+    block = min(_SUPPORT_BLOCK, len(sup_vals))
+    step = max(1, _CHUNK_CELLS // block)
+    lev_buf = np.empty((min(n, step), block), dtype=np.int64)
+    tmp_buf = np.empty_like(lev_buf)
+    for r in range(0, n, step):
+        pts = points[r : r + step]
+        rows = len(pts)
+        row_base = np.arange(rows, dtype=np.int64)[:, None] * width
+        out = prof[r : r + step].reshape(-1)
+        for s in range(0, len(sup_vals), block):
+            sup = sup_pts[s : s + block]          # (B, d)
+            vals = sup_vals[s : s + block]        # (B,)
+            lev, tmp = lev_buf[:rows, : len(vals)], tmp_buf[:rows, : len(vals)]
+            for axis in range(points.shape[1]):
+                term = tmp if axis else lev
+                np.subtract(pts[:, axis, None], sup[None, :, axis], out=term)
+                if degree == 2:
+                    np.multiply(term, term, out=term)
+                else:
+                    np.power(np.abs(term, out=term), degree, out=term)
+                if axis:
+                    lev += tmp
+            mask = lev <= lam_max
+            idx = np.add(lev, row_base, out=tmp)[mask]
+            weights = np.broadcast_to(vals[None, :], mask.shape)[mask]
+            out += np.bincount(idx, weights=weights, minlength=rows * width)
     return prof
 
 
 def _level_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise truncated convolution along the level axis."""
+    """Row-wise truncated convolution along the level axis.
+
+    A level of a that is nonzero in fewer than a quarter of the rows updates
+    only those rows.  The terms skipped are exact zeros added to sums that
+    are never -0.0, so every value is the same as in the dense update.
+    """
     n, width = a.shape
     out = np.zeros_like(a)
-    for mu in range(width):
-        col = a[:, mu]
-        if not col.any():
+    nz = a != 0
+    for mu, count in enumerate(np.count_nonzero(nz, axis=0).tolist()):
+        if count == 0:
             continue
-        out[:, mu:] += col[:, None] * b[:, : width - mu]
+        if 4 * count < n:
+            rows = np.flatnonzero(nz[:, mu])
+            out[rows, mu:] += a[rows, mu][:, None] * b[rows, : width - mu]
+        else:
+            out[:, mu:] += a[:, mu][:, None] * b[:, : width - mu]
     return out
 
 
@@ -193,41 +282,41 @@ def _fold(profiles: list[np.ndarray]) -> np.ndarray:
 
 
 def _live_profiles(fs: list[GridFunction], degree: int, lam_max: int, absolute: bool = False):
-    """The evaluation engine: yield (chunk, live_idx, profiles) per grid chunk.
+    """The evaluation engine: yield (points, flat, profiles) per chunk of live rows.
 
-    Chunks cover the common evaluation box in lexicographic order.  live_idx
-    lists the rows of chunk where no input's profile is identically zero;
-    profiles[j] holds, for those rows, the levels 0..lam_max of fs[j] (of
-    |fs[j]| when absolute).  Profiles are built smallest support first,
-    shrinking the live set as empty rows appear, so large supports are only
-    scattered where needed.
+    Chunks cover the live rows of the common evaluation box in lexicographic
+    order: those where no input's profile is identically zero.  points holds
+    their coordinates, flat their indices in the box (row-major), and
+    profiles[j] the levels 0..lam_max of fs[j] (of |fs[j]| when absolute).
+    Profiles are built smallest support first, shrinking the live set as
+    empty rows appear, so large supports are only scattered where needed.
     """
     box = _common_grid_box(fs, kth_root_floor(lam_max, degree))
     if box is None:
         return
+    lo, shape = box
     supports = [f.arrays() for f in fs]
     if absolute:
         supports = [(pts, np.abs(vals)) for pts, vals in supports]
     order = sorted(range(len(fs)), key=lambda j: len(supports[j][1]))
-    for chunk in _iter_grid_chunks(box):
-        live = np.ones(len(chunk), dtype=bool)
+    for flat in _row_chunks(lo, shape, supports[order[0]][0], degree, lam_max):
+        points = np.stack(np.unravel_index(flat, shape), axis=1) + lo
+        live = np.ones(len(flat), dtype=bool)
         for f in fs:
-            live &= _bbox_reach_mask(chunk, f.bbox, degree, lam_max)
-        idx = np.flatnonzero(live)
+            live &= _bbox_reach_mask(points, f.bbox, degree, lam_max)
+        flat, points = flat[live], points[live]
         built: dict[int, np.ndarray] = {}
         for j in order:
-            if len(idx) == 0:
+            if len(flat) == 0:
                 break
-            prof = _level_profile(chunk[idx], *supports[j], degree, lam_max)
+            prof = _level_profile(points, *supports[j], degree, lam_max)
             keep = prof.any(axis=1)
             if not keep.all():
-                idx, prof = idx[keep], prof[keep]
+                flat, points, prof = flat[keep], points[keep], prof[keep]
                 built = {jj: p[keep] for jj, p in built.items()}
             built[j] = prof
-        if len(idx) == 0:
-            yield chunk, idx, [np.zeros((0, lam_max + 1)) for _ in fs]
-        else:
-            yield chunk, idx, [built[j] for j in range(len(fs))]
+        if len(flat):
+            yield points, flat, [built[j] for j in range(len(fs))]
 
 
 def _evaluate(
@@ -235,12 +324,10 @@ def _evaluate(
 ) -> GridFunction:
     """The function x -> reduce(profiles)(x) on the live rows, 0 elsewhere."""
     values: dict[tuple[int, ...], float] = {}
-    for chunk, idx, profiles in _live_profiles(fs, degree, lam_max, absolute):
-        if len(idx) == 0:
-            continue
+    for points, _, profiles in _live_profiles(fs, degree, lam_max, absolute):
         out = reduce(profiles)
         nz = np.flatnonzero(out)
-        values.update(zip(map(tuple, chunk[idx[nz]].tolist()), out[nz].tolist()))
+        values.update(zip(map(tuple, points[nz].tolist()), out[nz].tolist()))
     return GridFunction(fs[0].dim, values)
 
 
@@ -349,15 +436,17 @@ def domination_check_multilinear(
 
     worst = -math.inf
     worst_pt: tuple[int, ...] | None = None
-    pruned_pt: tuple[int, ...] | None = None
-    checked = 0
-    for pts, idx, profs in _live_profiles(fs, k, lambda_max):
-        checked += len(pts)
-        if pruned_pt is None and len(idx) < len(pts):
-            pruned = np.setdiff1d(np.arange(len(pts)), idx, assume_unique=True)
-            pruned_pt = tuple(int(c) for c in pts[pruned[0]])
-        if len(idx) == 0:
-            continue
+    box = _common_grid_box(fs, kth_root_floor(lambda_max, k))
+    checked = 0 if box is None else math.prod(box[1])
+    next_row = 0        # the box rows before it are all live
+    pruned: int | None = None
+    for pts, flat, profs in _live_profiles(fs, k, lambda_max):
+        if pruned is None:
+            gaps = np.flatnonzero(flat != np.arange(next_row, next_row + len(flat)))
+            if len(gaps):
+                pruned = next_row + int(gaps[0])
+            else:
+                next_row += len(flat)
         a, rest = profs[0], _fold(profs[1:])
         joint = _level_convolve(a, rest)
         lhs = (joint[:, 1:] / full_norm[1:]).max(axis=1)
@@ -367,9 +456,12 @@ def domination_check_multilinear(
         i = int(np.argmax(viol))
         if viol[i] > worst:
             worst = float(viol[i])
-            worst_pt = tuple(int(c) for c in pts[idx[i]])
-    if pruned_pt is not None and 0.0 > worst:
-        worst, worst_pt = 0.0, pruned_pt  # pruned rows attain LHS - RHS = 0
+            worst_pt = tuple(int(c) for c in pts[i])
+    if pruned is None and next_row < checked:
+        pruned = next_row
+    if pruned is not None and 0.0 > worst:  # pruned rows attain LHS - RHS = 0
+        lo, shape = box
+        worst, worst_pt = 0.0, tuple(int(c) for c in np.unravel_index(pruned, shape) + lo)
     if worst == -math.inf:
         worst, worst_pt = 0.0, None
     return DominationReport(worst, worst_pt, lambda_max, checked)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spherelab import (
+    BudgetError,
     EmptySphereWarning,
     GridFunction,
     Normalization,
@@ -27,7 +28,7 @@ from spherelab import (
 )
 from spherelab import operators
 
-from oracles import brute_multilinear
+from oracles import brute_multilinear, brute_shell
 
 
 def random_function(rng, dim, size=5, span=3, nonnegative=False):
@@ -332,12 +333,17 @@ def test_domination_reports_first_pruned_row_when_live_rows_are_negative(monkeyp
     m = hl_maximal(f, spec, lam_max)
     s = linear_spherical_maximal(f, spec, lam_max)
     assert all(lhs.value(x) - m.value(x) * max(s.value(x), f.value(x)) < 0.0 for x in live)
-    for rows in (1 << 16, 7):
+    # one chunk walks the box; 7-row chunks walk f's support plus the k-ball,
+    # which here is the live rows; either way the second profile sees live rows
+    evaluated = spy_profile_rows(monkeypatch)
+    for rows, walked in ((1 << 16, len(box)), (7, len(live))):
         monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
+        evaluated.clear()
         rep = domination_check(f, f, spec, lam_max)
         assert rep.max_violation == 0.0
         assert rep.argmax_point == pruned[0]
         assert rep.points_checked == len(box)
+        assert sum(evaluated) == walked + len(live)
 
 
 def test_outputs_independent_of_chunk_size(monkeypatch):
@@ -361,6 +367,106 @@ def test_outputs_independent_of_chunk_size(monkeypatch):
         ])
     for big, small in zip(*outputs):
         assert big == small
+
+
+def spy_profile_rows(monkeypatch) -> list[int]:
+    """Record the row count of every _level_profile call."""
+    rows: list[int] = []
+    profile = operators._level_profile
+
+    def spy(points, *args):
+        rows.append(len(points))
+        return profile(points, *args)
+
+    monkeypatch.setattr(operators, "_level_profile", spy)
+    return rows
+
+
+def test_candidate_rows_match_box_rows(monkeypatch):
+    # four points spread over [0, 20]^3 make a 27^3-row box, while their
+    # dilation by the k-ball (lam_max = 9) has only a few hundred rows
+    rng = random.Random(606)
+    spec = SphereSpec(3, 2)
+    lam_max = 9
+    corners = [(0, 0, 0), (20, 3, 1), (4, 20, 7), (12, 9, 20)]
+    f = GridFunction(3, {p: rng.uniform(-1, 1) for p in corners})
+    g = GridFunction(3, {p: rng.uniform(-1, 1) for p in corners + [(5, 5, 5), (15, 2, 18)]})
+    f_abs = GridFunction(3, {p: abs(v) for p, v in f.values.items()})
+    g_abs = GridFunction(3, {p: abs(v) for p, v in g.values.items()})
+    box_rows = 27**3
+    ball = sum(rep_counts(spec, lam_max).counts)
+    assert len(corners) * ball < box_rows
+    cfg = OperatorConfig(spec, 2, lam_max, Normalization.ASYMPTOTIC)
+    evaluated = spy_profile_rows(monkeypatch)
+    outputs = []
+    for rows in (1 << 20, 64):
+        monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
+        evaluated.clear()
+        outputs.append([
+            repr(multilinear_average([f, g], lam_max, cfg).items_sorted()),
+            repr(multilinear_maximal([g, f], cfg).items_sorted()),
+            repr(hl_maximal(f, spec, lam_max).items_sorted()),
+            repr(linear_spherical_maximal(f, spec, lam_max).items_sorted()),
+            repr(domination_check(f_abs, g_abs, spec, lam_max)),
+            repr(domination_check(g_abs, f_abs, spec, lam_max)),
+        ])
+    # at 64-row chunks all six calls together evaluate fewer rows than one box
+    assert sum(evaluated) < box_rows
+    for big, small in zip(*outputs):
+        assert big == small
+
+
+def test_chunk_rows_bounded_by_profile_cells(monkeypatch):
+    # lam_max = 2000 in Z^2: 8192-row chunks of 2001 float64 levels would
+    # hold 125 MiB per profile-sized array
+    tracemalloc.start()
+    try:
+        out = hl_maximal(make_delta(2), SphereSpec(2, 2), 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.support_size() == sum(rep_counts(SphereSpec(2, 2), 2000).counts)
+    assert peak < 32 * 2**20, peak
+    # a row of lam_max + 1 levels above the cell budget is refused up front
+    monkeypatch.setattr(operators, "_CHUNK_CELLS", 64)
+    assert hl_maximal(make_delta(2), SphereSpec(2, 2), 63).support_size() > 0
+    with pytest.raises(BudgetError):
+        hl_maximal(make_delta(2), SphereSpec(2, 2), 64)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("degree", [2, 3])
+def test_ball_offsets_are_the_shells_up_to_lambda(dim, degree):
+    for lam_max in (1, 9, 40):
+        want = sorted(u for nu in range(lam_max + 1) for u in brute_shell(dim, degree, nu))
+        got = operators._ball_offsets(dim, degree, lam_max)
+        assert got.dtype == np.int64 and got.shape == (len(want), dim)
+        assert [tuple(u) for u in got.tolist()] == want
+        assert len(got) == sum(rep_counts(SphereSpec(dim, degree), lam_max).counts)
+
+
+def test_level_convolve_sparse_rows_match_dense_update():
+    # the dense update, term by term, with no skipped rows or levels
+    def dense(a, b):
+        out = np.zeros_like(a)
+        for mu in range(a.shape[1]):
+            out[:, mu:] += a[:, mu][:, None] * b[:, : a.shape[1] - mu]
+        return out
+
+    rng = np.random.default_rng(11)
+    n, width = 40, 17
+    a = rng.uniform(-1, 1, size=(n, width))
+    b = rng.uniform(-1, 1, size=(n, width))
+    a[rng.random((n, width)) < 0.9] = 0.0        # most levels below n/4 rows
+    a[:, 3] = rng.uniform(-1, 1, size=n)          # one dense level
+    a[:, 5] = 0.0                                 # one empty level
+    a[7] = 0.0                                    # all-zero rows in a and b
+    b[9] = 0.0
+    b[rng.random((n, width)) < 0.3] = 0.0
+    counts = np.count_nonzero(a, axis=0)
+    assert (4 * counts < n).any() and (4 * counts >= n).any() and (counts == 0).any()
+    assert operators._level_convolve(a, b).tobytes() == dense(a, b).tobytes()
+    assert operators._level_convolve(b, a).tobytes() == dense(b, a).tobytes()
 
 
 def test_domination_working_memory_is_bounded():
