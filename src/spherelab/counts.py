@@ -17,6 +17,10 @@ The joint count over an l-fold product sphere is just r in dimension l*d:
 
     N(lam) = #{(u_1..u_l) : sum_j sum_i |u_{j,i}|^k = lam} = r_{l*d,k}(lam).
 
+Shells are enumerated by meet in the middle: two half k-balls from one
+vectorised descent, _ball_offsets (the operator engine's candidate rows
+come from it too), joined by level.
+
 Growth diagnostics (dyadic block averaging + log-log fit) live here too;
 raw counts oscillate arithmetically, so slopes are fitted to block means.
 """
@@ -26,8 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ._convolve import power_trunc
-from .errors import AnalysisError, ParameterError, RangeError
+from .errors import AnalysisError, BudgetError, ParameterError, RangeError
+from .grids import DEFAULT_SUPPORT_BUDGET
 from .reports import ExponentReport
 
 
@@ -150,41 +157,103 @@ def joint_count(
     return cache.table(joint, lam).count(lam)
 
 
-def enumerate_shell(spec: SphereSpec, lam: int) -> Shell:
-    """Exhaustive duplicate-free shell, by recursive descent with budget pruning.
+def _ball_offsets(dim: int, degree: int, lam_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """All u in Z^dim with |u|^k <= lam_max in lexicographic order, and their levels.
 
-    Output order is lexicographic so exports are reproducible.
+    Returns the points as the columns of a (dim, N) int64 array and their
+    levels |u|^k as an (N,) int64 array.  Axis-by-axis descent: each prefix
+    is extended by every coordinate c with |c|^k within its remaining level,
+    in ascending order, so the points stay sorted and no rejected point is
+    ever built.  A step of more than DEFAULT_SUPPORT_BUDGET points raises
+    BudgetError before it is built.  lam_max < 2^62, so no level wraps int64.
+    """
+    root = kth_root_floor(lam_max, degree)
+    if 2 * root + 1 > DEFAULT_SUPPORT_BUDGET:
+        raise BudgetError(f"the first axis of a k-ball of level {lam_max} has {2 * root + 1} points")
+    powers = np.arange(root + 1, dtype=np.int64) ** degree
+    coord = np.arange(-root, root + 1, dtype=np.int64)
+    pts, level = coord[None], powers[np.abs(coord)]
+    for _ in range(dim - 1):
+        roots = np.searchsorted(powers, lam_max - level, side="right") - 1
+        width = 2 * roots + 1
+        rows = int(width.sum())
+        if rows > DEFAULT_SUPPORT_BUDGET:
+            raise BudgetError(f"a k-ball of level {lam_max} needs {rows} points in {len(pts) + 1} axes")
+        prefix = np.repeat(np.arange(len(level)), width)
+        coord = np.arange(rows, dtype=np.int64)
+        coord -= (np.cumsum(width) - width + roots)[prefix]     # index of c = 0, per new point
+        level = level[prefix] + powers[np.abs(coord)]
+        grown = np.empty((len(pts) + 1, rows), dtype=np.int64)
+        np.take(pts, prefix, axis=1, out=grown[:-1], mode="clip")   # "raise" would buffer out
+        grown[-1] = coord
+        pts = grown
+    return pts, level
+
+
+_SHELL_BLOCK = 1 << 12      # shell points converted to tuples at a time
+
+
+def _joined(head, tail, order, start, count, ints):
+    """Yield head point i joined with tail points order[start[i] : start[i] + count[i]], i in order.
+
+    Coordinates become the int objects ints[c] when ints is given (negative
+    c index from the back).  Blocks of about _SHELL_BLOCK points bound the
+    index arrays and column lists.
+    """
+    ends = np.cumsum(count)
+    a = done = 0
+    while a < len(count):
+        b = min(int(np.searchsorted(ends, done + _SHELL_BLOCK)) + 1, len(count))
+        cnt = count[a:b]
+        rows = np.repeat(np.arange(a, b), cnt)
+        idx = np.arange(done, ends[b - 1]) + np.repeat(start[a:b] - ends[a:b] + cnt, cnt)
+        cols = [head[:, rows], tail[:, order[idx]]]
+        if ints is not None:
+            cols = [ints[c] for c in cols]
+        yield from zip(*cols[0].tolist(), *cols[1].tolist())
+        a, done = b, int(ends[b - 1])
+
+
+def enumerate_shell(spec: SphereSpec, lam: int) -> Shell:
+    """Exhaustive duplicate-free shell, in lexicographic order.
+
+    Meet in the middle: the head (first ceil(d/2) axes) and the tail (last
+    floor(d/2) axes) are k-balls of level lam.  The tail is stably sorted
+    by level, so the points of each level stay in lexicographic order, and
+    each head point h, in order, is joined with the tail points of level
+    lam - |h|^k.  Head order then tail order is lexicographic order.  For
+    d >= 2, BudgetError is raised when lam >= 2^62, when a ball needs more
+    than DEFAULT_SUPPORT_BUDGET points, or when the shell has more points.
     """
     if not isinstance(lam, int) or lam < 0:
         raise ParameterError(f"lam must be a nonnegative integer, got {lam!r}")
     d, k = spec.dim, spec.degree
-    points: list[tuple[int, ...]] = []
-    prefix = [0] * d
-
-    def descend(axis: int, remaining: int) -> None:
-        if axis == d - 1:
-            root = kth_root_floor(remaining, k)
-            if root**k == remaining:
-                if root == 0:
-                    prefix[axis] = 0
-                    points.append(tuple(prefix))
-                else:
-                    prefix[axis] = -root
-                    points.append(tuple(prefix))
-                    prefix[axis] = root
-                    points.append(tuple(prefix))
-            return
-        root = kth_root_floor(remaining, k)
-        for y in range(-root, root + 1):
-            prefix[axis] = y
-            descend(axis + 1, remaining - abs(y) ** k)
-
-    descend(0, lam)
-    # the last axis emits -root before +root, but intermediate recursion
-    # already walks values in ascending order, so a final sort is only a
-    # safety net for d == 1
-    points.sort()
-    return Shell(spec=spec, lam=lam, points=tuple(points))
+    root = kth_root_floor(lam, k)
+    if d == 1:
+        points = () if root**k != lam else ((0,),) if root == 0 else ((-root,), (root,))
+        return Shell(spec=spec, lam=lam, points=points)
+    if lam >= 1 << 62:
+        raise BudgetError(f"shell level {lam} >= 2^62 in dimension {d}: levels would overflow int64")
+    head, head_lev = _ball_offsets(d - d // 2, k, lam)
+    tail, tail_lev = _ball_offsets(d // 2, k, lam) if d % 2 else (head, head_lev)
+    order = np.argsort(tail_lev, kind="stable")
+    tail_lev = tail_lev[order]
+    need = np.subtract(lam, head_lev, out=head_lev)  # in place: tail_lev is a sorted copy
+    start = np.searchsorted(tail_lev, need, side="left")
+    count = np.searchsorted(tail_lev, need, side="right")
+    count -= start
+    total = int(count.sum())
+    if total > DEFAULT_SUPPORT_BUDGET:
+        raise BudgetError(f"shell of {total} points exceeds the budget of {DEFAULT_SUPPORT_BUDGET}")
+    live = np.flatnonzero(count)            # head points with a partner
+    # one int object per value -R..R, shared by every tuple, unless that
+    # table would outnumber the shell's coordinates
+    ints = None
+    if 2 * root + 1 <= total * d:
+        ints = np.concatenate([np.arange(root + 1), np.arange(-root, 0)]).astype(object)
+    joined = _joined(head[:, live], tail, order, start[live], count[live], ints)
+    del head, head_lev, tail_lev, need, start, count, live    # before the tuples exist
+    return Shell(spec=spec, lam=lam, points=tuple(joined))
 
 
 def _dyadic_blocks(lo: int, hi: int) -> list[int]:

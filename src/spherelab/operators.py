@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import DEFAULT_CACHE, SphereSpec, TableCache, kth_root_floor
+from .counts import DEFAULT_CACHE, SphereSpec, TableCache, _ball_offsets, kth_root_floor
 from .errors import BudgetError, EmptySphereWarning, ParameterError
 from .grids import DEFAULT_SUPPORT_BUDGET, GridFunction
 from .reports import DominationReport
@@ -126,37 +126,20 @@ def _common_grid_box(fs: list[GridFunction], radius: int) -> tuple[np.ndarray, t
     return np.array(lo, dtype=np.int64), tuple(b - a + 1 for a, b in zip(lo, hi))
 
 
-def _ball_offsets(dim: int, degree: int, lam_max: int) -> np.ndarray:
-    """All u in Z^dim with |u|^k <= lam_max, as (N, dim) int64 rows in lexicographic order.
-
-    Axis-by-axis descent: each prefix is extended by every coordinate c with
-    |c|^k within its remaining level, in ascending order, so the rows stay
-    sorted and no rejected row is ever built.
-    """
-    powers = np.arange(kth_root_floor(lam_max, degree) + 1, dtype=np.int64) ** degree
-    pts = np.zeros((1, 0), dtype=np.int64)
-    level = np.zeros(1, dtype=np.int64)
-    for _ in range(dim):
-        root = np.searchsorted(powers, lam_max - level, side="right") - 1
-        width = 2 * root + 1
-        first = np.repeat(np.cumsum(width) - width + root, width)   # index of c = 0, per new row
-        coord = np.arange(len(first), dtype=np.int64) - first
-        pts = np.column_stack([np.repeat(pts, width, axis=0), coord])
-        level = np.repeat(level, width) + np.abs(coord) ** degree
-    return pts
-
-
 def _candidate_rows(sup_pts: np.ndarray, offsets: np.ndarray, lo: np.ndarray, shape) -> np.ndarray:
-    """Sorted distinct flat box indices of the points sup_pts + offsets inside the box."""
-    block = max(1, _CHUNK_CELLS // len(offsets))
-    cand = np.empty(len(sup_pts) * len(offsets), dtype=np.int64)
+    """Sorted distinct flat box indices of the points s + u inside the box.
+
+    s runs over the rows of sup_pts, u over the columns of offsets.
+    """
+    block = max(1, _CHUNK_CELLS // offsets.shape[1])
+    cand = np.empty(len(sup_pts) * offsets.shape[1], dtype=np.int64)
     end = 0
     for s in range(0, len(sup_pts), block):
         sup = sup_pts[s : s + block]
-        flat = np.zeros((len(sup), len(offsets)), dtype=np.int64)
+        flat = np.zeros((len(sup), offsets.shape[1]), dtype=np.int64)
         inside = np.ones(flat.shape, dtype=bool)
         for axis, size in enumerate(shape):
-            coord = sup[:, axis, None] + (offsets[:, axis] - lo[axis])
+            coord = sup[:, axis, None] + (offsets[axis] - lo[axis])
             inside &= (coord >= 0) & (coord < size)
             flat *= size
             flat += coord
@@ -176,9 +159,12 @@ def _row_chunks(lo: np.ndarray, shape, sup_pts: np.ndarray, degree: int, lam_max
     sup_pts is the smallest support.  Its dilation by the k-ball holds every
     row where that input's profile can be nonzero; it is walked instead of
     the box when the box spans several chunks and the dilation is no larger
-    than the box or the support budget.
+    than the box or the support budget.  A box of 2^63 rows or more, whose
+    row indices do not fit int64, raises BudgetError.
     """
     total, rows = math.prod(shape), min(_CHUNK_ROWS, _CHUNK_CELLS // (lam_max + 1))
+    if total >= 1 << 63:
+        raise BudgetError(f"an evaluation box of {total} rows exceeds the int64 row index range")
     if rows == 0:
         raise BudgetError(
             f"one row of {lam_max + 1} levels exceeds the chunk budget of {_CHUNK_CELLS} cells"
@@ -187,7 +173,7 @@ def _row_chunks(lo: np.ndarray, shape, sup_pts: np.ndarray, degree: int, lam_max
         dim = len(shape)
         ball = sum(DEFAULT_CACHE.table(SphereSpec(dim, degree), lam_max).counts[: lam_max + 1])
         if len(sup_pts) * ball <= min(total, DEFAULT_SUPPORT_BUDGET):
-            cand = _candidate_rows(sup_pts, _ball_offsets(dim, degree, lam_max), lo, shape)
+            cand = _candidate_rows(sup_pts, _ball_offsets(dim, degree, lam_max)[0], lo, shape)
             for start in range(0, len(cand), rows):
                 yield cand[start : start + rows]
             return

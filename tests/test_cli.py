@@ -1,9 +1,14 @@
 import io
 import json
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spherelab
 from spherelab.cli import run
 
 
@@ -175,6 +180,33 @@ def test_exit_code_budget_error(capsys):
     )
     assert code == 3
     assert "error (budget)" in err
+
+
+def test_exit_code_oversized_evaluation_box(tmp_path, capsys):
+    # points 10^5 apart on each of 4 axes: a box of about 10^20 > 2^63 rows
+    path = tmp_path / "two.txt"
+    path.write_text("4\n0 0 0 0 1\n100000 100000 100000 100000 1\n")
+    code, _, err = run_cli(["hlmax", "--dim", "4", "--lambda-max", "4", "--fn", f"file:{path}"], capsys)
+    assert code == 3
+    assert "error (budget)" in err
+
+
+def _limit_address_space():
+    limit = 1536 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_exit_code_shell_budget():
+    # r_{10,2}(10^5) is about 10^36 points; the child's address space is capped
+    # at 1.5 GB, so a regression that allocates ends there, not in the machine
+    src = str(Path(spherelab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spherelab", "shell", "--dim", "10", "--degree", "2", "--lambda", "100000"],
+        env=env, preexec_fn=_limit_address_space, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "error (budget)" in proc.stderr
 
 
 @pytest.mark.parametrize("extra", [

@@ -1,10 +1,12 @@
 import io
 import random
+import tracemalloc
 
 import pytest
 
 from spherelab import (
     AnalysisError,
+    BudgetError,
     ParameterError,
     RangeError,
     SphereSpec,
@@ -183,11 +185,54 @@ def test_shell_examples():
     assert enumerate_shell(SphereSpec(2, 2), 3).points == ()
 
 
+def _as_int_tuples(points):
+    assert all(type(c) is int for p in points for c in p)
+    return tuple(tuple(p) for p in points)
+
+
 def test_shell_is_sorted_and_matches_brute():
-    for dim, degree, lam in [(2, 2, 25), (3, 2, 11), (2, 3, 9), (3, 3, 17), (1, 4, 16)]:
+    cases = [(d, k, lam) for d in (1, 2, 3, 4) for k in (2, 3, 4) for lam in range(61)]
+    cases += [(5, 2, lam) for lam in range(41)]
+    for dim, degree, lam in cases:
         shell = enumerate_shell(SphereSpec(dim, degree), lam)
-        assert list(shell.points) == brute_shell(dim, degree, lam)
+        assert type(shell.points) is tuple
+        assert _as_int_tuples(shell.points) == tuple(brute_shell(dim, degree, lam)), (dim, degree, lam)
         assert list(shell.points) == sorted(shell.points)
+    assert enumerate_shell(SphereSpec(1, 2), 10**30).points == ((-(10**15),), (10**15,))
+    assert enumerate_shell(SphereSpec(1, 3), 10**30 + 1).points == ()
+
+
+def test_shell_sparse_at_large_level():
+    # r_2(10^12) = 4 * 13 points on an axis of 2 * 10^6 + 1 values
+    points = enumerate_shell(SphereSpec(2, 2), 10**12).points
+    assert len(points) == 52 and list(points) == sorted(points)
+    assert all(x * x + y * y == 10**12 for x, y in _as_int_tuples(points))
+
+
+def test_shell_budget(monkeypatch):
+    # shell --dim 10 --lambda 100000 is tested in a child process, under a memory limit
+    with pytest.raises(BudgetError):
+        enumerate_shell(SphereSpec(2, 40), 2**62)       # levels near int64
+    assert len(enumerate_shell(SphereSpec(2, 40), 2**62 - 1).points) == 0
+    # r_4(100) = 744 points, from two 317-point half-balls
+    monkeypatch.setattr("spherelab.counts.DEFAULT_SUPPORT_BUDGET", 744)
+    assert len(enumerate_shell(SphereSpec(4, 2), 100).points) == 744
+    for budget in (743, 316):
+        monkeypatch.setattr("spherelab.counts.DEFAULT_SUPPORT_BUDGET", budget)
+        with pytest.raises(BudgetError):
+            enumerate_shell(SphereSpec(4, 2), 100)
+
+
+def test_shell_working_memory_is_bounded():
+    # 94,752 points of 5 ints: the tuples alone take about 8 MiB
+    tracemalloc.start()
+    try:
+        shell = enumerate_shell(SphereSpec(5, 2), 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(shell.points) == 94752
+    assert peak < 16 * 2**20
 
 
 def test_shell_length_equals_count():

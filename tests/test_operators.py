@@ -26,7 +26,7 @@ from spherelab import (
     multilinear_maximal,
     rep_counts,
 )
-from spherelab import operators
+from spherelab import counts, operators
 
 from oracles import brute_multilinear, brute_shell
 
@@ -439,10 +439,11 @@ def test_chunk_rows_bounded_by_profile_cells(monkeypatch):
 def test_ball_offsets_are_the_shells_up_to_lambda(dim, degree):
     for lam_max in (1, 9, 40):
         want = sorted(u for nu in range(lam_max + 1) for u in brute_shell(dim, degree, nu))
-        got = operators._ball_offsets(dim, degree, lam_max)
-        assert got.dtype == np.int64 and got.shape == (len(want), dim)
-        assert [tuple(u) for u in got.tolist()] == want
-        assert len(got) == sum(rep_counts(SphereSpec(dim, degree), lam_max).counts)
+        got, levels = counts._ball_offsets(dim, degree, lam_max)
+        assert got.dtype == np.int64 and got.shape == (dim, len(want))
+        assert [tuple(u) for u in got.T.tolist()] == want
+        assert levels.tolist() == [sum(abs(c) ** degree for c in u) for u in want]
+        assert len(want) == sum(rep_counts(SphereSpec(dim, degree), lam_max).counts)
 
 
 def test_level_convolve_sparse_rows_match_dense_update():
