@@ -22,10 +22,16 @@ from __future__ import annotations
 
 import decimal
 
+from .errors import BudgetError
+
 # The decimal path costs about as much as 20 schoolbook pairs per output
 # coefficient: per-call timings of the r_{d,k} table builds (d <= 10,
 # k = 2, 3) cross near 2.2e5 pairs at n_out = 10^4 and 6.5e5 at 2^15.
 _SPARSE_PAIRS_PER_COEFF = 20
+
+# Largest dense operand, n_out * w digits.  The biggest in use are 3.15 M
+# (experiment 2: d = 10, lambda = 2^17) and 2.3 M (d = 10, lambda = 10^5).
+_DIGIT_BUDGET = 10**8
 
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
@@ -60,6 +66,8 @@ def convolve_trunc(a: list[int], b: list[int], n_out: int) -> list[int]:
     if nnz_a * nnz_b <= _SPARSE_PAIRS_PER_COEFF * n_out:
         return _convolve_sparse(a, b, n_out)
     w = len(str(min(sum(a) * max(b), sum(b) * max(a)))) + 1
+    if n_out * w > _DIGIT_BUDGET:
+        raise BudgetError(f"a dense convolution of {n_out} coefficients needs {n_out * w} digits")
     slot = f"0{w}d"
     x = decimal.Decimal("".join([format(c, slot) for c in reversed(a)]))
     y = decimal.Decimal("".join([format(c, slot) for c in reversed(b)]))

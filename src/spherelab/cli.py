@@ -55,6 +55,8 @@ from .operators import (
     multilinear_maximal,
 )
 from .sharpness import (
+    _DEFAULT_SAMPLES,
+    _EXACT_REGION_BUDGET,
     WitnessSpec,
     critical_r,
     decay_fit,
@@ -413,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--r", required=True, help="exponent r (decimal or fraction like 5/8)")
     s.add_argument("--radii", required=True, help="comma-separated increasing radii")
     s.add_argument("--seed", type=int, default=_accept.ACCEPTANCE_SEED)
-    s.add_argument("--samples", type=int, default=8000, help="samples per sampled region")
-    s.add_argument("--exact-budget", type=int, default=200000,
+    s.add_argument("--samples", type=int, default=_DEFAULT_SAMPLES, help="samples per sampled region")
+    s.add_argument("--exact-budget", type=int, default=_EXACT_REGION_BUDGET,
                    help="regions up to this lattice-count estimate are enumerated exactly")
     s.add_argument("--csv", action="store_true", help="emit radius,partial_norm CSV instead of JSON")
     s.set_defaults(func=_cmd_normscan)

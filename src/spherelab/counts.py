@@ -17,9 +17,10 @@ The joint count over an l-fold product sphere is just r in dimension l*d:
 
     N(lam) = #{(u_1..u_l) : sum_j sum_i |u_{j,i}|^k = lam} = r_{l*d,k}(lam).
 
-Shells are enumerated by meet in the middle: two half k-balls from one
-vectorised descent, _ball_offsets (the operator engine's candidate rows
-come from it too), joined by level.
+_ball_offsets is the one vectorised k-ball descent, with three users:
+enumerate_shell joins two half balls by level (meet in the middle), the
+operator engine takes its candidate rows from a ball of offsets, and the
+exact norm-scan regions of sharpness walk a Euclidean (d-1)-ball.
 
 Growth diagnostics (dyadic block averaging + log-log fit) live here too;
 raw counts oscillate arithmetically, so slopes are fitted to block means.
@@ -110,10 +111,13 @@ def rep_counts(spec: SphereSpec, lambda_max: int) -> RepCountTable:
     """Exact table of r_{d,k}(mu), mu = 0..lambda_max.
 
     Computed as the dim-th truncated convolution power of the
-    one-dimensional series; never by shell enumeration.
+    one-dimensional series; never by shell enumeration.  A lambda_max above
+    DEFAULT_SUPPORT_BUDGET raises BudgetError before anything is allocated.
     """
     if not isinstance(lambda_max, int) or lambda_max < 0:
         raise ParameterError(f"lambda_max must be a nonnegative integer, got {lambda_max!r}")
+    if lambda_max > DEFAULT_SUPPORT_BUDGET:
+        raise BudgetError(f"lambda_max {lambda_max} exceeds the table budget of {DEFAULT_SUPPORT_BUDGET}")
     g = one_dim_counts(spec.degree, lambda_max)
     counts = power_trunc(g, spec.dim, lambda_max + 1)
     return RepCountTable(spec=spec, lambda_max=lambda_max, counts=tuple(counts))
@@ -141,39 +145,34 @@ class TableCache:
 DEFAULT_CACHE = TableCache()
 
 
-def joint_count(
-    spec: SphereSpec,
-    linearity: int,
-    lam: int,
-    cache: TableCache | None = None,
-) -> int:
+def joint_count(spec: SphereSpec, linearity: int, lam: int) -> int:
     """N(lam) = r_{l*d,k}(lam): lattice points on the joint sphere in Z^(l*d)."""
     if not isinstance(linearity, int) or linearity < 1:
         raise ParameterError(f"linearity must be an integer >= 1, got {linearity!r}")
     if lam < 0:
         raise RangeError(f"lam must be >= 0, got {lam}")
-    cache = cache if cache is not None else DEFAULT_CACHE
     joint = SphereSpec(dim=spec.dim * linearity, degree=spec.degree)
-    return cache.table(joint, lam).count(lam)
+    return DEFAULT_CACHE.table(joint, lam).count(lam)
 
 
 def _ball_offsets(dim: int, degree: int, lam_max: int) -> tuple[np.ndarray, np.ndarray]:
     """All u in Z^dim with |u|^k <= lam_max in lexicographic order, and their levels.
 
     Returns the points as the columns of a (dim, N) int64 array and their
-    levels |u|^k as an (N,) int64 array.  Axis-by-axis descent: each prefix
-    is extended by every coordinate c with |c|^k within its remaining level,
+    levels |u|^k as an (N,) int64 array.  Axis-by-axis descent from the
+    empty point (level 0, so dim = 0 gives that one point): each prefix is
+    extended by every coordinate c with |c|^k within its remaining level,
     in ascending order, so the points stay sorted and no rejected point is
-    ever built.  A step of more than DEFAULT_SUPPORT_BUDGET points raises
-    BudgetError before it is built.  lam_max < 2^62, so no level wraps int64.
+    ever built.  A first axis, or a step, of more than DEFAULT_SUPPORT_BUDGET
+    points raises BudgetError before it is built.  lam_max < 2^62, so no
+    level wraps int64.
     """
     root = kth_root_floor(lam_max, degree)
     if 2 * root + 1 > DEFAULT_SUPPORT_BUDGET:
         raise BudgetError(f"the first axis of a k-ball of level {lam_max} has {2 * root + 1} points")
     powers = np.arange(root + 1, dtype=np.int64) ** degree
-    coord = np.arange(-root, root + 1, dtype=np.int64)
-    pts, level = coord[None], powers[np.abs(coord)]
-    for _ in range(dim - 1):
+    pts, level = np.zeros((0, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for _ in range(dim):
         roots = np.searchsorted(powers, lam_max - level, side="right") - 1
         width = 2 * roots + 1
         rows = int(width.sum())

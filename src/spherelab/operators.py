@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import DEFAULT_CACHE, SphereSpec, TableCache, _ball_offsets, kth_root_floor
+from .counts import DEFAULT_CACHE, SphereSpec, _ball_offsets, kth_root_floor
 from .errors import BudgetError, EmptySphereWarning, ParameterError
 from .grids import DEFAULT_SUPPORT_BUDGET, GridFunction
 from .reports import DominationReport
@@ -317,9 +317,7 @@ def _evaluate(
     return GridFunction(fs[0].dim, values)
 
 
-def _norm_factors(
-    spec: SphereSpec, ell: int, normalization: Normalization, lam_max: int, cache: TableCache | None
-) -> np.ndarray:
+def _norm_factors(spec: SphereSpec, ell: int, normalization: Normalization, lam_max: int) -> np.ndarray:
     """norm(lam) for lam = 0..lam_max; 0 marks an empty sphere (skip)."""
     if normalization is Normalization.ASYMPTOTIC:
         expo = ell * spec.dim / spec.degree - 1.0
@@ -327,12 +325,11 @@ def _norm_factors(
         lam[0] = 1.0  # level zero uses unit normalization
         return lam**expo
     joint = SphereSpec(dim=spec.dim * ell, degree=spec.degree)
-    tab = (cache if cache is not None else DEFAULT_CACHE).table(joint, lam_max)
+    tab = DEFAULT_CACHE.table(joint, lam_max)
     return np.array([float(c) for c in tab.counts[: lam_max + 1]], dtype=np.float64)
 
 
-def multilinear_average(fs: list[GridFunction], lam: int, cfg: OperatorConfig,
-                        cache: TableCache | None = None) -> GridFunction:
+def multilinear_average(fs: list[GridFunction], lam: int, cfg: OperatorConfig) -> GridFunction:
     """Signed l-linear spherical average at a single level lam.
 
     Exact normalization at an empty sphere (N(lam) = 0) returns the zero
@@ -342,18 +339,17 @@ def multilinear_average(fs: list[GridFunction], lam: int, cfg: OperatorConfig,
     _validate(fs, cfg.spec, cfg.lambda_max, cfg.linearity)
     if not isinstance(lam, int) or not cfg.lambda_min <= lam <= cfg.lambda_max:
         raise ParameterError(f"lam={lam!r} outside [{cfg.lambda_min}, {cfg.lambda_max}]")
-    norms = _norm_factors(cfg.spec, cfg.linearity, cfg.normalization, lam, cache)
+    norms = _norm_factors(cfg.spec, cfg.linearity, cfg.normalization, lam)
     if cfg.normalization is Normalization.EXACT and norms[lam] == 0.0:
         warnings.warn(f"empty sphere at lam={lam}: average defined as 0", EmptySphereWarning)
         return GridFunction(cfg.spec.dim, {})
     return _evaluate(fs, cfg.spec.degree, lam, lambda profs: _fold(profs)[:, lam] / norms[lam])
 
 
-def multilinear_maximal(fs: list[GridFunction], cfg: OperatorConfig,
-                        cache: TableCache | None = None) -> GridFunction:
+def multilinear_maximal(fs: list[GridFunction], cfg: OperatorConfig) -> GridFunction:
     """sup over lam in [lambda_min, lambda_max] of |T_lam(f_1..f_l)|."""
     _validate(fs, cfg.spec, cfg.lambda_max, cfg.linearity)
-    norms = _norm_factors(cfg.spec, cfg.linearity, cfg.normalization, cfg.lambda_max, cache)
+    norms = _norm_factors(cfg.spec, cfg.linearity, cfg.normalization, cfg.lambda_max)
     levels = [lam for lam in range(cfg.lambda_min, cfg.lambda_max + 1) if norms[lam] != 0.0]
     if not levels:
         return GridFunction(cfg.spec.dim, {})
@@ -416,8 +412,8 @@ def domination_check_multilinear(
             "normalization is not monotone there and the bound fails)"
         )
     d, k, ell = spec.dim, spec.degree, len(fs)
-    full_norm = _norm_factors(spec, ell, Normalization.ASYMPTOTIC, lambda_max, None)
-    rest_norm = _norm_factors(spec, ell - 1, Normalization.ASYMPTOTIC, lambda_max, None)
+    full_norm = _norm_factors(spec, ell, Normalization.ASYMPTOTIC, lambda_max)
+    rest_norm = _norm_factors(spec, ell - 1, Normalization.ASYMPTOTIC, lambda_max)
     ball_w = np.arange(1, lambda_max + 1, dtype=np.float64) ** (-d / k)
 
     worst = -math.inf

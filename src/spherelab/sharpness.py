@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counts import DEFAULT_CACHE, SphereSpec
+from .counts import DEFAULT_CACHE, SphereSpec, _ball_offsets
 from .errors import AnalysisError, BudgetError, ParameterError
 from .grids import DEFAULT_SUPPORT_BUDGET
 from .reports import ExponentReport, RegionVerdict, ScanReport
@@ -248,27 +248,21 @@ def _ball_volume(dim: int, radius: float) -> float:
 
 
 def _region_exact_sum(spec: WitnessSpec, r_lo: float, r_hi: float, r_exp: float) -> float:
-    """Exact sum of witness^r over r_lo < |x| <= r_hi, chunked enumeration."""
-    R = int(math.floor(r_hi))
-    d = spec.dim
-    tail_axes = [np.arange(-R, R + 1)] * (d - 1)
-    if d == 1:
-        tail = np.zeros((1, 0), dtype=np.int64)
-        tail_norm = np.zeros(1)
-    else:
-        tail = np.stack(np.meshgrid(*tail_axes, indexing="ij"), axis=-1).reshape(-1, d - 1)
-        tail = tail.astype(np.int64)
-        tail_norm = (tail.astype(np.float64) ** 2).sum(axis=1)
+    """Exact sum of witness^r over r_lo < |x| <= r_hi (integer radii).
+
+    x_0 runs over -r_hi..r_hi and the other coordinates over the (d-1)-ball
+    of radius r_hi, walked once by the shared k-ball descent; both are in
+    ascending order, so the points are visited in lexicographic order.
+    """
+    lo2, R = int(r_lo) ** 2, int(r_hi)
+    tail, tail_lev = _ball_offsets(spec.dim - 1, 2, R * R)
     total = 0.0
     for x0 in range(-R, R + 1):
-        nrm = tail_norm + float(x0) * x0
-        mask = (nrm > r_lo * r_lo) & (nrm <= r_hi * r_hi)
-        m = int(mask.sum())
-        if m == 0:
-            continue
-        pts = np.concatenate([np.full((m, 1), x0, dtype=np.int64), tail[mask]], axis=1)
-        for i in range(0, m, 60_000):
-            total += float((witness_values(pts[i : i + 60_000], spec) ** r_exp).sum())
+        lev = tail_lev + x0 * x0
+        cols = np.flatnonzero((lev > lo2) & (lev <= R * R))
+        for i in range(0, len(cols), 60_000):
+            pts = np.insert(tail[:, cols[i : i + 60_000]], 0, x0, axis=0).T
+            total += float((witness_values(pts, spec) ** r_exp).sum())
     return total
 
 
@@ -325,17 +319,16 @@ def partial_norm_scan(
         raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
     if exact_budget < 0 or samples_per_region < 1:
         raise ParameterError("exact_budget must be >= 0 and samples_per_region >= 1")
-    bounds = [(0.0, float(radii[0]))] + [
-        (float(a), float(b)) for a, b in zip(radii, radii[1:])
-    ]
+    edges = [0.0] + [float(R) for R in radii]
     region_sums: list[float] = []
     modes: list[str] = []
-    for idx, (lo, hi) in enumerate(bounds):
+    origin = witness_value((0,) * spec.dim, spec) ** r  # checks the witness budget before any walk
+    for idx, (lo, hi) in enumerate(zip(edges, edges[1:])):
         est = _ball_volume(spec.dim, hi) - _ball_volume(spec.dim, lo)
         if est <= exact_budget:
             s = _region_exact_sum(spec, lo, hi, r)
             if idx == 0:  # the inner region includes the origin itself
-                s += witness_value((0,) * spec.dim, spec) ** r
+                s += origin
             modes.append("exact")
         else:
             s = _region_sampled_sum(

@@ -196,13 +196,26 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def test_exit_code_shell_budget():
-    # r_{10,2}(10^5) is about 10^36 points; the child's address space is capped
-    # at 1.5 GB, so a regression that allocates ends there, not in the machine
+@pytest.mark.parametrize("argv", [
+    # r_{10,2}(10^5) is about 10^36 points
+    ["shell", "--dim", "10", "--degree", "2", "--lambda", "100000"],
+    # the 4-ball of radius 200 has about 7.9 * 10^9 points
+    ["normscan", "--dim", "5", "--degree", "2", "--linearity", "2", "--box", "1", "--r", "0.7",
+     "--radii", "100,200", "--exact-budget", "1000000000000"],
+    # a 3^60-point witness box; the inner region's 59-ball has 7.6 * 10^6 points
+    ["normscan", "--dim", "60", "--r", "0.7", "--radii", "2,3"],
+    # a count table of 2 * 10^9 + 1 entries
+    ["count", "--dim", "2", "--degree", "2", "--lambda-max", "2000000000"],
+    # a dense convolution of 1.1 * 10^8 digits (r_2 squared up to 10^7)
+    ["count", "--dim", "4", "--degree", "2", "--lambda-max", "10000000"],
+], ids=["shell", "normscan", "normscan-witness", "count-table", "count-digits"])
+def test_exit_code_budget_under_memory_cap(argv):
+    # the child's address space is capped at 1.5 GB, so a regression that
+    # allocates ends there, not in the machine
     src = str(Path(spherelab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "spherelab", "shell", "--dim", "10", "--degree", "2", "--lambda", "100000"],
+        [sys.executable, "-m", "spherelab"] + argv,
         env=env, preexec_fn=_limit_address_space, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 3, proc.stderr

@@ -80,7 +80,6 @@ def test_joint_count_matches_examples():
 
 
 def test_joint_count_paths_agree():
-    cache = TableCache()
     for dim, degree, ell in [(1, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)]:
         spec = SphereSpec(dim, degree)
         for lam in range(0, 40):
@@ -88,7 +87,7 @@ def test_joint_count_paths_agree():
             folded = base
             for _ in range(ell - 1):
                 folded = brute_convolve(folded, base, lam + 1)
-            assert joint_count(spec, ell, lam, cache) == folded[lam], (dim, degree, ell, lam)
+            assert joint_count(spec, ell, lam) == folded[lam], (dim, degree, ell, lam)
 
 
 def test_table_cache_keeps_largest_table_per_spec():

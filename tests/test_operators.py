@@ -434,16 +434,18 @@ def test_chunk_rows_bounded_by_profile_cells(monkeypatch):
         hl_maximal(make_delta(2), SphereSpec(2, 2), 64)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
 @pytest.mark.parametrize("degree", [2, 3])
 def test_ball_offsets_are_the_shells_up_to_lambda(dim, degree):
+    # dim 0 is the empty point at level 0, which every descent starts from
     for lam_max in (1, 9, 40):
         want = sorted(u for nu in range(lam_max + 1) for u in brute_shell(dim, degree, nu))
         got, levels = counts._ball_offsets(dim, degree, lam_max)
         assert got.dtype == np.int64 and got.shape == (dim, len(want))
         assert [tuple(u) for u in got.T.tolist()] == want
         assert levels.tolist() == [sum(abs(c) ** degree for c in u) for u in want]
-        assert len(want) == sum(rep_counts(SphereSpec(dim, degree), lam_max).counts)
+        if dim:     # SphereSpec needs dim >= 1
+            assert len(want) == sum(rep_counts(SphereSpec(dim, degree), lam_max).counts)
 
 
 def test_level_convolve_sparse_rows_match_dense_update():

@@ -197,22 +197,28 @@ def test_decay_fit_errors():
         decay_fit(W5, (1, 0, 0, 0, 0), (10, 50))
 
 
-def test_norm_scan_exact_regions_match_direct_enumeration():
+@pytest.mark.parametrize("spec", [
+    WitnessSpec(dim=1, degree=2, linearity=3, box_radius=1),
+    WitnessSpec(dim=2, degree=3, linearity=2, box_radius=2),
+    WitnessSpec(dim=3, degree=2, linearity=2, box_radius=1),
+    W5,
+], ids=lambda spec: f"d{spec.dim}")
+def test_norm_scan_exact_regions_match_direct_enumeration(spec):
     # small radii fit the exact budget; cross-check against a direct sum
     radii = [3, 5]
-    scan = partial_norm_scan(W5, 0.7, radii, exact_budget=10**6)
+    scan = partial_norm_scan(spec, 0.7, radii, exact_budget=10**6)
     assert scan.region_modes == ["exact", "exact"]
     import itertools
 
     total = 0.0
-    for x in itertools.product(range(-3, 4), repeat=5):
-        if 0 < sum(c * c for c in x) <= 9 or x == (0,) * 5:
-            total += witness_value(x, W5) ** 0.7
+    for x in itertools.product(range(-3, 4), repeat=spec.dim):
+        if sum(c * c for c in x) <= 9:
+            total += witness_value(x, spec) ** 0.7
     assert scan.partial_norms[0] == pytest.approx(total ** (1 / 0.7), rel=1e-12)
     shell = 0.0
-    for x in itertools.product(range(-5, 6), repeat=5):
+    for x in itertools.product(range(-5, 6), repeat=spec.dim):
         if 9 < sum(c * c for c in x) <= 25:
-            shell += witness_value(x, W5) ** 0.7
+            shell += witness_value(x, spec) ** 0.7
     assert scan.shell_sums[0] == pytest.approx(shell, rel=1e-12)
 
 
