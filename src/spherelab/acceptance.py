@@ -1,9 +1,10 @@
 """The numbered acceptance experiments, each runnable as one call.
 
-Every experiment returns an ExperimentResult whose payload dict is fully
-deterministic (fixed seeds, no timestamps, no timings), so serialized
-reports are byte-identical across reruns and worker counts.  Elapsed time
-is carried next to the payload, never inside it.
+Every experiment returns (name, passed, payload) with a fully
+deterministic payload dict (fixed seeds, no timestamps, no timings), so
+serialized reports are byte-identical across reruns and worker counts.
+run_experiment builds each ExperimentResult and times the call; the elapsed
+time is carried next to the payload, never inside it.
 
 The brute-force oracles below are the only copies in the project: the test
 suite and the benchmark reach them through tests/oracles.py.  They are
@@ -133,9 +134,8 @@ def random_sparse_function(rng, dim: int, *, nonnegative: bool, max_support: int
 # experiments
 # ---------------------------------------------------------------------------
 
-def experiment_1() -> ExperimentResult:
+def experiment_1() -> tuple[str, bool, dict]:
     """Count-oracle equivalence and the exact convolution identity."""
-    t0 = time.perf_counter()
     mismatches = []
     for d in (1, 2, 3):
         for k in (2, 3, 4):
@@ -162,13 +162,11 @@ def experiment_1() -> ExperimentResult:
         "identity_scope": "splits a+b <= 10, degree in {2,3}, lam <= 10000",
         "identity_failures": identity_fail,
     }
-    return ExperimentResult(1, "count oracle + convolution identity", passed, payload,
-                            time.perf_counter() - t0)
+    return "count oracle + convolution identity", passed, payload
 
 
-def experiment_2() -> ExperimentResult:
+def experiment_2() -> tuple[str, bool, dict]:
     """Dyadic-block growth exponents in composed dimensions 10 and 6."""
-    t0 = time.perf_counter()
     lam_max = 2**17
     window = (2**10, 2**17)
     rows = []
@@ -188,13 +186,11 @@ def experiment_2() -> ExperimentResult:
             }
         )
     payload = {"lambda_max": lam_max, "window": list(window), "fits": rows}
-    return ExperimentResult(2, "growth exponent, dimensions 10 and 6", passed, payload,
-                            time.perf_counter() - t0)
+    return "growth exponent, dimensions 10 and 6", passed, payload
 
 
-def experiment_3() -> ExperimentResult:
+def experiment_3() -> tuple[str, bool, dict]:
     """Slice-decomposition averages vs joint-sphere brute force, 200 instances."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     worst = 0.0
     failures = []
@@ -233,8 +229,7 @@ def experiment_3() -> ExperimentResult:
         "worst_relative_error": worst,
         "failures": failures,
     }
-    return ExperimentResult(3, "slice decomposition vs brute force", not failures,
-                            payload, time.perf_counter() - t0)
+    return "slice decomposition vs brute force", not failures, payload
 
 
 def _domination_pairs(rng) -> list[tuple[str, GridFunction, str, GridFunction]]:
@@ -256,9 +251,8 @@ def _domination_pairs(rng) -> list[tuple[str, GridFunction, str, GridFunction]]:
     return pairs
 
 
-def experiment_4() -> ExperimentResult:
+def experiment_4() -> tuple[str, bool, dict]:
     """Pointwise domination of T* by M(f) * S~(g), both argument orders."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(ACCEPTANCE_SEED + 4)
     spec = SphereSpec(5, 2)
     lam_max = 50
@@ -285,13 +279,11 @@ def experiment_4() -> ExperimentResult:
         "tolerance": 1e-9,
         "checks": rows,
     }
-    return ExperimentResult(4, "pointwise domination, both orders", passed, payload,
-                            time.perf_counter() - t0)
+    return "pointwise domination, both orders", passed, payload
 
 
-def experiment_5() -> ExperimentResult:
+def experiment_5() -> tuple[str, bool, dict]:
     """Witness decay exponents along e_1 for degrees 2 and 3."""
-    t0 = time.perf_counter()
     rows = []
     passed = True
     for k, expect, tol in ((2, -8.0, 0.2), (3, -7.0, 0.3)):
@@ -310,18 +302,16 @@ def experiment_5() -> ExperimentResult:
             }
         )
     payload = {"ray": [1, 0, 0, 0, 0], "t_range": [10, 2000], "fits": rows}
-    return ExperimentResult(5, "witness decay exponents", passed, payload,
-                            time.perf_counter() - t0)
+    return "witness decay exponents", passed, payload
 
 
-def experiment_6() -> ExperimentResult:
+def experiment_6() -> tuple[str, bool, dict]:
     """Critical-exponent dichotomy via sampled dyadic shell-sum ratios.
 
     Shells run from 128 to 2048: below that the candidate-level collisions
     of the witness are still thinning out and the ratios sit under their
     asymptotic limit (the scan reports them; the gate uses the stable range).
     """
-    t0 = time.perf_counter()
     radii = [128, 256, 512, 1024, 2048]
     spec = WitnessSpec(dim=5, degree=2, linearity=2, box_radius=1)
     rows = []
@@ -343,8 +333,7 @@ def experiment_6() -> ExperimentResult:
             }
         )
     payload = {"radii": radii, "seed": ACCEPTANCE_SEED, "scans": rows}
-    return ExperimentResult(6, "shell-ratio dichotomy at the critical exponent",
-                            passed, payload, time.perf_counter() - t0)
+    return "shell-ratio dichotomy at the critical exponent", passed, payload
 
 
 REGION_PROBES: list[tuple[float | str, float | str, float | str, int, str]] = [
@@ -360,9 +349,8 @@ REGION_PROBES: list[tuple[float | str, float | str, float | str, int, str]] = [
 ]
 
 
-def experiment_7() -> ExperimentResult:
+def experiment_7() -> tuple[str, bool, dict]:
     """Exact exponent formulas and the nine region-classifier probes."""
-    t0 = time.perf_counter()
     problems = []
     if critical_r(5, 2, 2) != Fraction(5, 8):
         problems.append("critical_r(5,2,2) != 5/8")
@@ -403,8 +391,7 @@ def experiment_7() -> ExperimentResult:
              "verdict": verdict.verdict, "expected": want, "ok": ok}
         )
     payload = {"problems": problems, "region_probes": probe_rows}
-    return ExperimentResult(7, "exponent formulas + region probes", not problems,
-                            payload, time.perf_counter() - t0)
+    return "exponent formulas + region probes", not problems, payload
 
 
 EXPERIMENTS = {
@@ -421,4 +408,6 @@ EXPERIMENTS = {
 def run_experiment(number: int) -> ExperimentResult:
     if number not in EXPERIMENTS:
         raise ValueError(f"no acceptance experiment {number}; choose 1..7")
-    return EXPERIMENTS[number]()
+    t0 = time.perf_counter()
+    name, passed, payload = EXPERIMENTS[number]()
+    return ExperimentResult(number, name, passed, payload, time.perf_counter() - t0)

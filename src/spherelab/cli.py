@@ -56,6 +56,7 @@ from .operators import (
 )
 from .sharpness import (
     _DEFAULT_SAMPLES,
+    _DEFAULT_SEED,
     _EXACT_REGION_BUDGET,
     WitnessSpec,
     critical_r,
@@ -272,7 +273,7 @@ def _cmd_asymfit(args) -> int:
     table = rep_counts(spec, args.lambda_max)
     report = growth_exponent_fit(table, (args.window_lo, args.window_hi))
     payload = report.as_dict()
-    note = asymptotic_validity_note(spec, 1)
+    note = asymptotic_validity_note(spec)
     if note:
         payload["note"] = note
     _emit(_json_text(payload), args.out)
@@ -414,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--box", type=int, default=1)
     s.add_argument("--r", required=True, help="exponent r (decimal or fraction like 5/8)")
     s.add_argument("--radii", required=True, help="comma-separated increasing radii")
-    s.add_argument("--seed", type=int, default=_accept.ACCEPTANCE_SEED)
+    s.add_argument("--seed", type=int, default=_DEFAULT_SEED)
     s.add_argument("--samples", type=int, default=_DEFAULT_SAMPLES, help="samples per sampled region")
     s.add_argument("--exact-budget", type=int, default=_EXACT_REGION_BUDGET,
                    help="regions up to this lattice-count estimate are enumerated exactly")

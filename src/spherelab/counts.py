@@ -305,33 +305,26 @@ def growth_exponent_fit(table: RepCountTable, window: tuple[int, int]) -> Expone
     )
 
 
-def asymptotic_validity_note(spec: SphereSpec, linearity: int, d0: float | None = None) -> str | None:
-    """Advisory note when the composed dimension may be too low for the
-    clean growth exponent l*d/k - 1.  Never enforced, only reported.
+def asymptotic_validity_note(spec: SphereSpec) -> str | None:
+    """Advisory note when the dimension may be too low for the clean growth
+    exponent d/k - 1 of the count table.  Never enforced, only reported.
 
-    For degree 2 the count is clean once l*d > 4; for higher degree the
-    threshold depends on an external parameter d0 (best known linear-theory
-    dimension bound), which the caller may supply.
+    For degree 2 the count is clean once d > 4; for higher degree the
+    threshold is d > d0(k), with d0 the best known linear-theory dimension
+    bound, which this library does not know.
     """
     d, k = spec.dim, spec.degree
     if k == 2:
-        if linearity * d <= 4:
+        if d <= 4:
             return (
-                f"composed dimension {linearity * d} <= 4: the degree-2 growth "
-                f"exponent {linearity * d / 2 - 1:g} is not guaranteed at this size"
+                f"composed dimension {d} <= 4: the degree-2 growth "
+                f"exponent {d / 2 - 1:g} is not guaranteed at this size"
             )
         return None
-    if d0 is not None and d <= d0 / linearity:
-        return (
-            f"dim {d} <= d0/linearity = {d0 / linearity:g}: growth exponent "
-            f"{linearity * d / k - 1:g} may fail for degree {k}"
-        )
-    if d0 is None:
-        return (
-            f"degree {k} growth exponent requires dim > d0({k})/linearity with d0 "
-            "taken from the linear theory; supply d0 to check"
-        )
-    return None
+    return (
+        f"degree {k} growth exponent requires dim > d0({k})/linearity with d0 "
+        "taken from the linear theory; supply d0 to check"
+    )
 
 
 def write_counts_csv(table: RepCountTable, stream) -> None:

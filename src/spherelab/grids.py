@@ -4,7 +4,7 @@ A GridFunction is a sparse point -> value map (zeros are never stored);
 evaluation anywhere off the support is 0.  The operators in operators.py
 take GridFunctions as input and return them as output.
 
-Supports stay sparse; a configurable budget (default 10^7 points) converts
+Supports stay sparse; a budget (DEFAULT_SUPPORT_BUDGET, 10^7 points) converts
 would-be memory blowups into clean BudgetError exceptions.  Non-finite
 values are rejected on construction, and support points are handed out in
 sorted order, so every accumulation over a support has a fixed order.
@@ -29,11 +29,11 @@ class GridFunction:
 
     __slots__ = ("dim", "_values", "bbox")
 
-    def __init__(self, dim: int, values: dict[Point, float], *, budget: int = DEFAULT_SUPPORT_BUDGET):
+    def __init__(self, dim: int, values: dict[Point, float]):
         if not isinstance(dim, int) or dim < 1:
             raise ParameterError(f"dim must be a positive integer, got {dim!r}")
-        if len(values) > budget:
-            raise BudgetError(f"support of {len(values)} points exceeds budget {budget}")
+        if len(values) > DEFAULT_SUPPORT_BUDGET:
+            raise BudgetError(f"support of {len(values)} points exceeds budget {DEFAULT_SUPPORT_BUDGET}")
         clean: dict[Point, float] = {}
         for p, v in values.items():
             pt = tuple(int(c) for c in p)
@@ -66,9 +66,6 @@ class GridFunction:
     def support_size(self) -> int:
         return len(self._values)
 
-    def mass(self) -> float:
-        return sum(v for _, v in self.items_sorted())
-
     def items_sorted(self):
         """Support points in lexicographic order (the fixed accumulation order)."""
         return sorted(self._values.items())
@@ -98,19 +95,19 @@ def make_delta(dim: int) -> GridFunction:
     return GridFunction(dim, {(0,) * dim: 1.0})
 
 
-def make_box_indicator(dim: int, radius: int, *, budget: int = DEFAULT_SUPPORT_BUDGET) -> GridFunction:
+def make_box_indicator(dim: int, radius: int) -> GridFunction:
     """Indicator of the cube [-radius, radius]^dim."""
     if not isinstance(radius, int) or radius < 0:
         raise ParameterError(f"radius must be a nonnegative integer, got {radius!r}")
     side = 2 * radius + 1
-    if side**dim > budget:
-        raise BudgetError(f"box has {side**dim} points, budget is {budget}")
+    if side**dim > DEFAULT_SUPPORT_BUDGET:
+        raise BudgetError(f"box has {side**dim} points, budget is {DEFAULT_SUPPORT_BUDGET}")
     pts = np.stack(
         np.meshgrid(*([np.arange(-radius, radius + 1)] * dim), indexing="ij"),
         axis=-1,
     ).reshape(-1, dim)
     vals = {tuple(int(c) for c in row): 1.0 for row in pts}
-    return GridFunction(dim, vals, budget=budget)
+    return GridFunction(dim, vals)
 
 
 def write_grid_text(f: GridFunction, stream) -> None:

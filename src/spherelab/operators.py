@@ -267,13 +267,13 @@ def _fold(profiles: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _live_profiles(fs: list[GridFunction], degree: int, lam_max: int, absolute: bool = False):
+def _live_profiles(fs: list[GridFunction], degree: int, lam_max: int):
     """The evaluation engine: yield (points, flat, profiles) per chunk of live rows.
 
     Chunks cover the live rows of the common evaluation box in lexicographic
     order: those where no input's profile is identically zero.  points holds
     their coordinates, flat their indices in the box (row-major), and
-    profiles[j] the levels 0..lam_max of fs[j] (of |fs[j]| when absolute).
+    profiles[j] the levels 0..lam_max of fs[j].
     Profiles are built smallest support first, shrinking the live set as
     empty rows appear, so large supports are only scattered where needed.
     """
@@ -282,8 +282,6 @@ def _live_profiles(fs: list[GridFunction], degree: int, lam_max: int, absolute: 
         return
     lo, shape = box
     supports = [f.arrays() for f in fs]
-    if absolute:
-        supports = [(pts, np.abs(vals)) for pts, vals in supports]
     order = sorted(range(len(fs)), key=lambda j: len(supports[j][1]))
     for flat in _row_chunks(lo, shape, supports[order[0]][0], degree, lam_max):
         points = np.stack(np.unravel_index(flat, shape), axis=1) + lo
@@ -305,14 +303,19 @@ def _live_profiles(fs: list[GridFunction], degree: int, lam_max: int, absolute: 
             yield points, flat, [built[j] for j in range(len(fs))]
 
 
-def _evaluate(
-    fs: list[GridFunction], degree: int, lam_max: int, reduce, absolute: bool = False
-) -> GridFunction:
-    """The function x -> reduce(profiles)(x) on the live rows, 0 elsewhere."""
+def _evaluate(fs: list[GridFunction], degree: int, lam_max: int, reduce) -> GridFunction:
+    """The function x -> reduce(profiles)(x) on the live rows, 0 elsewhere.
+
+    BudgetError is raised before the output grows past DEFAULT_SUPPORT_BUDGET points.
+    """
     values: dict[tuple[int, ...], float] = {}
-    for points, _, profiles in _live_profiles(fs, degree, lam_max, absolute):
+    for points, _, profiles in _live_profiles(fs, degree, lam_max):
         out = reduce(profiles)
         nz = np.flatnonzero(out)
+        if len(values) + len(nz) > DEFAULT_SUPPORT_BUDGET:
+            raise BudgetError(
+                f"operator output exceeds the support budget of {DEFAULT_SUPPORT_BUDGET} points"
+            )
         values.update(zip(map(tuple, points[nz].tolist()), out[nz].tolist()))
     return GridFunction(fs[0].dim, values)
 
@@ -367,9 +370,8 @@ def hl_maximal(f: GridFunction, spec: SphereSpec, lambda_max: int) -> GridFuncti
     _validate([f], spec, lambda_max)
     weights = np.arange(1, lambda_max + 1, dtype=np.float64) ** (-spec.dim / spec.degree)
     return _evaluate(
-        [f], spec.degree, lambda_max,
+        [GridFunction(f.dim, {p: abs(v) for p, v in f.values.items()})], spec.degree, lambda_max,
         lambda profs: (np.cumsum(profs[0], axis=1)[:, 1:] * weights).max(axis=1),
-        absolute=True,
     )
 
 

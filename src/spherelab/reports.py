@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
@@ -38,18 +38,9 @@ class ScanReport:
     shell_sums: list[float]
     ratios: list[float]
     seed: int
-    region_modes: list[str] = field(default_factory=list)  # "exact"/"sampled"
+    region_modes: list[str]  # "exact"/"sampled"
 
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "radii": list(self.radii),
-            "partial_norms": list(self.partial_norms),
-            "shell_sums": list(self.shell_sums),
-            "ratios": list(self.ratios),
-            "seed": self.seed,
-            "region_modes": list(self.region_modes),
-        }
+    as_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -61,13 +52,7 @@ class DominationReport:
     lambda_max: int
     points_checked: int
 
-    def as_dict(self) -> dict:
-        return {
-            "max_violation": self.max_violation,
-            "argmax_point": list(self.argmax_point) if self.argmax_point else None,
-            "lambda_max": self.lambda_max,
-            "points_checked": self.points_checked,
-        }
+    as_dict = asdict
 
 
 @dataclass(frozen=True)

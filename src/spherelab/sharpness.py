@@ -354,7 +354,7 @@ def partial_norm_scan(
     )
 
 
-def region_classify(p, q, r, dim: int, *, degree: int = 2, linearity: int = 2) -> RegionVerdict:
+def region_classify(p, q, r, dim: int) -> RegionVerdict:
     """Boundedness verdict for the bilinear degree-2 maximal operator.
 
     BOUNDED:   dim >= 5, p > 1, q > 1, 1/p + 1/q >= 1/r, r > d/(2d-2).
@@ -364,8 +364,6 @@ def region_classify(p, q, r, dim: int, *, degree: int = 2, linearity: int = 2) -
     UNKNOWN:   endpoints p = 1 or q = 1, dimensions 3-4 (different methods
                give r > d/(d-2) there), dim < 3, or 1/p + 1/q < 1/r.
     """
-    if degree != 2 or linearity != 2:
-        raise ParameterError("region_classify covers the bilinear degree-2 operator only")
     if not isinstance(dim, int) or dim < 1:
         raise ParameterError(f"dim must be a positive integer, got {dim!r}")
     pf, qf, rf = _as_fraction(p), _as_fraction(q), _as_fraction(r)

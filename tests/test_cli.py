@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -163,6 +164,30 @@ def test_normscan_json_and_csv(tmp_path, capsys):
     code, out, _ = run_cli(args + ["--csv"], capsys)
     assert code == 0
     assert out.splitlines()[0] == "radius,partial_norm"
+
+
+@pytest.mark.parametrize("dim, degree, note", [
+    (4, 2, "composed dimension 4 <= 4: the degree-2 growth exponent 1 is not guaranteed at this size"),
+    (5, 2, None),
+    (4, 3, "degree 3 growth exponent requires dim > d0(3)/linearity with d0 taken from the "
+           "linear theory; supply d0 to check"),
+], ids=["low-dim", "clean", "higher-degree"])
+def test_asymfit_note(dim, degree, note, capsys):
+    code, out, _ = run_cli(
+        ["asymfit", "--dim", str(dim), "--degree", str(degree), "--lambda-max", "1024",
+         "--window-lo", "64", "--window-hi", "1024"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out).get("note") == note
+
+
+def test_accept_headline_carries_elapsed_time(capsys):
+    code, _, err = run_cli(["accept", "--experiment", "7"], capsys)
+    assert code == 0
+    assert re.fullmatch(
+        r"PASS  criterion 7: exponent formulas \+ region probes \(\d+\.\ds\)", err.splitlines()[-1]
+    )
 
 
 def test_exit_code_parameter_error(capsys):

@@ -15,6 +15,7 @@ from spherelab import (
     rep_counts,
     write_grid_text,
 )
+from spherelab import grids
 
 from oracles import slice_family
 
@@ -32,7 +33,7 @@ def test_delta_basics():
     assert d.support_size() == 1
     assert d.value((0, 0, 0)) == 1.0
     assert d.value((1, 0, 0)) == 0.0
-    assert d.mass() == 1.0
+    assert sum(d.values.values()) == 1.0
 
 
 def test_box_sizes():
@@ -41,9 +42,13 @@ def test_box_sizes():
     assert make_box_indicator(1, 0) == make_delta(1)
 
 
-def test_box_budget():
+def test_box_budget(monkeypatch):
+    monkeypatch.setattr(grids, "DEFAULT_SUPPORT_BUDGET", 100)
     with pytest.raises(BudgetError):
-        make_box_indicator(5, 1, budget=100)
+        make_box_indicator(5, 1)
+    assert GridFunction(1, {(x,): 1.0 for x in range(100)}).support_size() == 100
+    with pytest.raises(BudgetError):
+        GridFunction(1, {(x,): 1.0 for x in range(101)})
 
 
 def test_zero_values_dropped_and_bbox_tight():
@@ -98,7 +103,8 @@ def test_slice_mass_bookkeeping():
     table = rep_counts(spec, 10)
     fam = slice_family(f, spec, 10)
     for mu in range(11):
-        assert fam.slice(mu).mass() == pytest.approx(table.count(mu) * f.mass(), rel=1e-12)
+        mass = sum(fam.slice(mu).values.values())
+        assert mass == pytest.approx(table.count(mu) * sum(f.values.values()), rel=1e-12)
 
 
 def test_slice_support_inside_dilated_bbox():

@@ -434,6 +434,17 @@ def test_chunk_rows_bounded_by_profile_cells(monkeypatch):
         hl_maximal(make_delta(2), SphereSpec(2, 2), 64)
 
 
+def test_output_support_budget(monkeypatch):
+    # M(box) on Z^2 at lam_max = 9 is nonzero on 61 points; the output is
+    # refused while it is built, before any GridFunction of it exists
+    args = (make_box_indicator(2, 1), SphereSpec(2, 2), 9)
+    monkeypatch.setattr(operators, "DEFAULT_SUPPORT_BUDGET", 61)
+    assert hl_maximal(*args).support_size() == 61
+    monkeypatch.setattr(operators, "DEFAULT_SUPPORT_BUDGET", 60)
+    with pytest.raises(BudgetError):
+        hl_maximal(*args)
+
+
 @pytest.mark.parametrize("dim", [0, 1, 2, 3])
 @pytest.mark.parametrize("degree", [2, 3])
 def test_ball_offsets_are_the_shells_up_to_lambda(dim, degree):

@@ -297,8 +297,6 @@ def test_region_rejects_bad_exponents():
         region_classify(0, 2, 1, 5)
     with pytest.raises(ParameterError):
         region_classify(2, 2, -1, 5)
-    with pytest.raises(ParameterError):
-        region_classify(2, 2, 1, 5, degree=3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1/0", "abc", None])
