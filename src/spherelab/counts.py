@@ -4,10 +4,10 @@ r_{d,k}(mu) = #{u in Z^d : sum_i |u_i|^k = mu}.  Odd k uses |y|^k throughout,
 so every table is symmetric under coordinate sign flips.
 
 Tables are computed as the d-th convolution power of the one-dimensional
-sequence g_k[m] = #{y in Z : |y|^k = m} (repeated squaring, truncated at
-lambda_max).  Everything in the counting paths is arbitrary-precision
-integer arithmetic: r_{10,2}(10^5) is about 10^36 and the convolution
-identity below requires bit-for-bit exactness.
+sequence g_k[m] = #{y in Z : |y|^k = m} (left-to-right binary powering,
+truncated at lambda_max).  Everything in the counting paths is
+arbitrary-precision integer arithmetic: r_{10,2}(10^5) is about 10^36 and
+the convolution identity below requires bit-for-bit exactness.
 
 The identity used throughout for cross-checks:
 
@@ -322,8 +322,8 @@ def asymptotic_validity_note(spec: SphereSpec) -> str | None:
             )
         return None
     return (
-        f"degree {k} growth exponent requires dim > d0({k})/linearity with d0 "
-        "taken from the linear theory; supply d0 to check"
+        f"degree {k}: the growth exponent {d / k - 1:g} is guaranteed only for "
+        f"dim > d0({k}), the linear-theory dimension threshold, which is not checked"
     )
 
 

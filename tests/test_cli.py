@@ -169,8 +169,8 @@ def test_normscan_json_and_csv(tmp_path, capsys):
 @pytest.mark.parametrize("dim, degree, note", [
     (4, 2, "composed dimension 4 <= 4: the degree-2 growth exponent 1 is not guaranteed at this size"),
     (5, 2, None),
-    (4, 3, "degree 3 growth exponent requires dim > d0(3)/linearity with d0 taken from the "
-           "linear theory; supply d0 to check"),
+    (4, 3, "degree 3: the growth exponent 0.333333 is guaranteed only for dim > d0(3), "
+           "the linear-theory dimension threshold, which is not checked"),
 ], ids=["low-dim", "clean", "higher-degree"])
 def test_asymfit_note(dim, degree, note, capsys):
     code, out, _ = run_cli(

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 import tracemalloc
 
@@ -16,7 +17,8 @@ from spherelab import (
     joint_count,
     rep_counts,
 )
-from spherelab._convolve import _SPARSE_PAIRS_PER_COEFF, convolve_trunc
+from spherelab import _convolve
+from spherelab._convolve import _SPARSE_PAIRS_PER_COEFF, convolve_trunc, power_trunc
 from spherelab.counts import kth_root_floor, write_counts_csv, write_shell_csv
 
 from oracles import brute_convolve, brute_rep_count_table, brute_shell
@@ -127,6 +129,9 @@ def _dense_inputs(case):
         a = [rng.randrange(1, 2**70) for _ in range(1500)] + [0] * 200
         b = [rng.randrange(1, 2**70) for _ in range(1500)] + [0] * 200
         return a, b, len(a) + len(b) - 1
+    if case == "square_wide":  # one list as both operands: 46-digit slots, three limbs
+        a = [rng.randrange(2**63, 2**70) for _ in range(1500)]
+        return a, a, 1500
     if case == "n_out_beyond_product":
         a = [rng.randrange(1, 2**40) for _ in range(1500)]
         b = [rng.randrange(1, 2**40) for _ in range(1500)]
@@ -136,18 +141,74 @@ def _dense_inputs(case):
 
 @pytest.mark.parametrize(
     "case",
-    ["random_wide", "constant_max", *_DIGIT_EDGE_BOUNDS, "trailing_zeros", "n_out_beyond_product"],
+    ["random_wide", "constant_max", *_DIGIT_EDGE_BOUNDS, "trailing_zeros", "square_wide",
+     "n_out_beyond_product"],
 )
 def test_dense_convolution_matches_brute(case):
     a, b, n_out = _dense_inputs(case)
     nnz_a = sum(1 for v in a if v)
     nnz_b = sum(1 for v in b if v)
     assert nnz_a * nnz_b > _SPARSE_PAIRS_PER_COEFF * n_out  # the dense branch is under test
+    assert (a is b) == (case == "square_wide")
     got = convolve_trunc(a, b, n_out)
     assert got == brute_convolve(a, b, n_out)
     assert all(type(c) is int for c in got)
     if case == "constant_max" or case in _DIGIT_EDGE_BOUNDS:
         assert got[n_out - 1] == min(sum(a) * max(b), sum(b) * max(a))
+
+
+def _sparse_square_weights(n_out, seed):
+    """Random weights on the squares below n_out: the first steps of a power are sparse."""
+    rng = random.Random(seed)
+    g = [0] * n_out
+    for m in range(math.isqrt(n_out - 1) + 1):
+        g[m * m] = rng.randrange(1, 2**20)
+    return g
+
+
+def test_power_trunc_matches_folded_brute(monkeypatch):
+    n_out = 400
+    g = _sparse_square_weights(n_out, 11)
+    steps = []
+
+    def spy(a, b, n):
+        pairs = (len(a) - a.count(0)) * (len(b) - b.count(0))
+        steps.append(pairs > _SPARSE_PAIRS_PER_COEFF * n)
+        return convolve_trunc(a, b, n)
+
+    monkeypatch.setattr(_convolve, "convolve_trunc", spy)
+    folded = [1] + [0] * (n_out - 1)
+    for e in range(13):
+        steps.clear()
+        assert power_trunc(g, e, n_out) == folded, e
+        if e >= 4:
+            assert any(steps), e  # a dense step ran
+        folded = brute_convolve(folded, g, n_out)
+
+
+def test_power_trunc_routes_each_step_through_the_module_global(monkeypatch):
+    # perfbench wraps _convolve.convolve_trunc to time every step of a table build
+    g = _sparse_square_weights(3000, 12)
+    squares = []
+
+    def spy(a, b, n):
+        squares.append(a is b)
+        return convolve_trunc(a, b, n)
+
+    monkeypatch.setattr(_convolve, "convolve_trunc", spy)
+    power_trunc(g, 10, 3000)
+    assert squares == [True, True, False, True]  # g^2, g^4, g^5, g^10
+
+
+def test_count_table_working_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        table = rep_counts(SphereSpec(10, 2), 2**15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.count(2**15) > 2**63
+    assert peak < 10 * 2**20
 
 
 def test_joint_count_range_error():
