@@ -19,8 +19,8 @@ The joint count over an l-fold product sphere is just r in dimension l*d:
 
 _ball_offsets is the one vectorised k-ball descent, with three users:
 enumerate_shell joins two half balls by level (meet in the middle), the
-operator engine takes its candidate rows from a ball of offsets, and the
-exact norm-scan regions of sharpness walk a Euclidean (d-1)-ball.
+operator engine pushes each support point through the ball of offsets, and
+the exact norm-scan regions of sharpness walk a Euclidean (d-1)-ball.
 
 Growth diagnostics (dyadic block averaging + log-log fit) live here too;
 raw counts oscillate arithmetically, so slopes are fitted to block means.

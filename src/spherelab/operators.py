@@ -18,21 +18,13 @@ f_j(x - u),  nu = 0..Lam.  The left fold of pairwise level convolutions
 
 gives T_lam(x) = P(x, lam) / norm(lam).  One engine, _live_profiles, builds
 the profiles for every operator, and each operator is a reduction of them.
-Its rows lie in the common box: the sup-norm dilations (radius
-floor(Lam^(1/k))) of the supports' bounding boxes, intersected across
-inputs.  When that box spans more than one chunk and the smallest support
-S_0 plus the k-ball B = {u : |u|^k <= Lam} has no more points than the box
-(and the support budget), only the rows of S_0 + B are walked: any other
-row has A_0 identically zero.  Otherwise the whole box is walked.  Either
-way rows come in lexicographic order, in chunks of at most _CHUNK_ROWS rows
-and _CHUNK_CELLS profile cells; a single row above the cell budget raises
-BudgetError.  Rows whose k-distance to some bounding box exceeds Lam are
-dropped, then rows where some profile is identically zero; every operator
-is zero there, so pruning never changes a value.  Profiles are scattered
-from the support in fixed-size blocks whose sums are added in support
-order, and every later step works row by row, so the summation order of
-every value depends on the support alone: outputs are byte-identical for
-any chunk size and either row source.
+Its rows, in the common box (the dilations by floor(Lam^(1/k)) of the
+supports' bounding boxes, intersected), are walked in lexicographic slabs,
+each profile pushed through the k-ball or pulled onto the rows still live
+(see _Stencil), smallest support first, dropping rows where one is zero.
+Supports are summed in fixed blocks, each in support order, added in
+order, and later steps work row by row, so every value's summation order
+depends on the support alone: outputs are byte-identical for any chunking.
 
 Pointwise domination: for nonnegative inputs and asymptotic normalization,
 
@@ -64,8 +56,9 @@ from .grids import DEFAULT_SUPPORT_BUDGET, GridFunction
 from .reports import DominationReport
 
 _CHUNK_ROWS = 1 << 13       # rows per grid chunk
-_CHUNK_CELLS = 1 << 18      # cells per chunk (rows x levels) and per scatter slice: bounds working memory
+_CHUNK_CELLS = 1 << 18      # cells per chunk (rows x levels): bounds working memory
 _SUPPORT_BLOCK = 256        # support points per scatter: fixes each row's sum order
+_SLICE = 1 << 15            # pairs per scatter slice: its temporaries stay in cache
 
 
 class Normalization(enum.Enum):
@@ -126,91 +119,95 @@ def _common_grid_box(fs: list[GridFunction], radius: int) -> tuple[np.ndarray, t
     return np.array(lo, dtype=np.int64), tuple(b - a + 1 for a, b in zip(lo, hi))
 
 
-def _candidate_rows(sup_pts: np.ndarray, offsets: np.ndarray, lo: np.ndarray, shape) -> np.ndarray:
-    """Sorted distinct flat box indices of the points s + u inside the box.
+class _Stencil:
+    """The k-ball B = {u : |u|^k <= lam_max} as a stencil: point s adds f(s) to cell (s + u, |u|^k), u in B,
+    in slabs of rows with the coordinates before `axis` fixed.  B is lexicographic, so s sends one range
+    of B into a slab: searchsorted on a radix-(2r + 3) key of u[:axis + 1] finds it (r the radius)."""
 
-    s runs over the rows of sup_pts, u over the columns of offsets.
-    """
-    block = max(1, _CHUNK_CELLS // offsets.shape[1])
-    cand = np.empty(len(sup_pts) * offsets.shape[1], dtype=np.int64)
-    end = 0
-    for s in range(0, len(sup_pts), block):
-        sup = sup_pts[s : s + block]
-        flat = np.zeros((len(sup), offsets.shape[1]), dtype=np.int64)
-        inside = np.ones(flat.shape, dtype=bool)
-        for axis, size in enumerate(shape):
-            coord = sup[:, axis, None] + (offsets[axis] - lo[axis])
-            inside &= (coord >= 0) & (coord < size)
-            flat *= size
-            flat += coord
-        flat = flat[inside]
-        cand[end : end + len(flat)] = flat
-        end += len(flat)
-    cand = cand[:end]
-    cand.sort()
-    first = np.ones(end, dtype=bool)
-    first[1:] = cand[1:] != cand[:-1]
-    return cand[first]
+    def __init__(self, lo: np.ndarray, shape, axis: int, degree: int, lam_max: int, supports):
+        self.offsets, levels = _ball_offsets(len(shape), degree, lam_max)
+        r = self.radius = kth_root_floor(lam_max, degree)
+        self.shape, self.axis, self.width, self.tail = shape, axis, lam_max + 1, math.prod(shape[axis + 1 :])
+        self.radix = (2 * r + 3) ** np.arange(axis, -1, -1, dtype=np.int64)
+        self.key = self.radix @ (self.offsets[: axis + 1] + r + 1)
+        strides = np.array([math.prod(shape[i + 1 :]) for i in range(axis, len(shape))])
+        self.cell = strides @ self.offsets[axis:] * self.width + levels    # slab row offset * width + level
+        self.supports = []      # per input: box-relative points by axis, their cells, which are near an edge
+        for pts, vals in supports:
+            rel = np.ascontiguousarray((pts - lo).T)
+            near = ((rel[axis + 1 :] < r) | (rel[axis + 1 :].T + r >= shape[axis + 1 :]).T).any(axis=0)
+            self.supports.append((rel, strides @ rel[axis:] * self.width, near, vals))
+
+    def reach(self, j: int) -> np.ndarray:
+        """Sorted flat indices of the slab prefixes a k-ball of input j reaches (all, if too many to list)."""
+        runs = np.flatnonzero(np.diff(self.key // (2 * self.radius + 3), prepend=-1))  # B by prefix
+        pre = self.offsets[: self.axis, runs]
+        if not self.axis or pre.shape[1] * self.supports[j][0].shape[1] > _CHUNK_CELLS:
+            return np.arange(math.prod(self.shape[: self.axis]))
+        reached = (self.supports[j][0][: self.axis, :, None] + pre[:, None, :]).reshape(self.axis, -1)
+        inside = ((reached >= 0) & (reached < np.array(self.shape[: self.axis])[:, None])).all(axis=0)
+        return np.unique(np.ravel_multi_index(reached[:, inside], self.shape[: self.axis]))
+
+    def spans(self, first: int, stop: int, j: int):
+        """(start in B, count) of the offsets each point of input j sends into slab first..stop-1."""
+        ax, r, rel = self.axis, self.radius, self.supports[j][0]
+        u = np.array(np.unravel_index(first, self.shape)[: ax + 1])[:, None] - rel[: ax + 1]
+        last = np.minimum(np.maximum(u[ax] + (stop - first) // self.tail - 1, -r - 1), r + 1)
+        u = np.minimum(np.maximum(u, -r - 1), r + 1)      # the digits -r - 1, r + 1 match no offset
+        start = np.searchsorted(self.key, key := self.radix @ (u + r + 1))
+        return start, np.maximum(np.searchsorted(self.key, key + last - u[ax], "right") - start, 0)
+
+    def push(self, first: int, stop: int, j: int, rows: np.ndarray):
+        """(kept, profile) of input j on rows (offsets from first) of slab first..stop-1, or None
+        when a pull is cheaper.  kept indexes the rows some pair reaches, or all rows.  Each block of
+        _SUPPORT_BLOCK points is summed from +0.0 pair by pair in support order (np.add.at), and
+        the blocks are added in order: the sums of _level_profile."""
+        rel, base, near, vals = self.supports[j]
+        ax, n, width, shape = self.axis, stop - first, self.width, self.shape
+        start, count = self.spans(first, stop, j)
+        ends, base = np.cumsum(count), base - first % (shape[ax] * self.tail) * width
+        few = ends[-1] < len(rows) or n * width > _CHUNK_CELLS     # then profile only the rows reached
+        if ends[-1] > _CHUNK_CELLS if few else ends[-1] + 3 * count[near].sum() >= 2 * len(rows) * len(vals):
+            return None     # a pulled pair costs about two pushed ones, four near an edge
+
+        def pairs(a, c):    # cell (in the scratch row n when it leaves the box) and value of each pair
+            k = count[a:c]
+            idx = np.arange(ends[c - 1] - ends[a] + k[0]) + np.repeat(start[a:c] - np.cumsum(k) + k, k)
+            cells, edge = self.cell[idx] + np.repeat(base[a:c], k), np.flatnonzero(np.repeat(near[a:c], k))
+            if len(edge):
+                pts, out = np.repeat(np.arange(a, c), k)[edge], np.zeros(len(edge), dtype=bool)
+                for i in range(ax + 1, len(shape)):
+                    out |= (rel[i][pts] + self.offsets[i][idx[edge]]).astype(np.uint64) >= shape[i]
+                cells[edge[out]] = n * width
+            return cells, np.repeat(vals[a:c], k)
+
+        kept = np.arange(len(rows))
+        if few:     # profile only the rows some pair reaches; slot maps slab rows to profile rows
+            kept = np.flatnonzero(np.bincount(pairs(0, len(vals))[0] // width, minlength=n + 1)[rows])
+            slot = np.full(n + 1, len(kept))
+            slot[rows[kept]] = np.arange(len(kept))
+        prof = np.zeros((len(kept) if few else n) * width + width)     # and a scratch row
+        for a in range(0, len(vals), _SUPPORT_BLOCK):
+            b, acc = min(a + _SUPPORT_BLOCK, len(vals)), prof if a == 0 else np.zeros_like(prof)
+            while a < b:    # slices of about _SLICE pairs
+                c = min(max(int(np.searchsorted(ends, ends[a] - count[a] + _SLICE, "right")), a + 1), b)
+                cells, w = pairs(a, c)
+                np.add.at(acc, (slot[cells // width] - cells // width) * width + cells if few else cells, w)
+                a = c
+            if acc is not prof:
+                prof += acc
+        return kept, prof.reshape(-1, width)[:-1] if few else prof.reshape(-1, width)[rows]
 
 
-def _row_chunks(lo: np.ndarray, shape, sup_pts: np.ndarray, degree: int, lam_max: int):
-    """Yield sorted flat box indices of the rows to evaluate, one chunk at a time.
-
-    sup_pts is the smallest support.  Its dilation by the k-ball holds every
-    row where that input's profile can be nonzero; it is walked instead of
-    the box when the box spans several chunks and the dilation is no larger
-    than the box or the support budget.  A box of 2^63 rows or more, whose
-    row indices do not fit int64, raises BudgetError.
-    """
-    total, rows = math.prod(shape), min(_CHUNK_ROWS, _CHUNK_CELLS // (lam_max + 1))
-    if total >= 1 << 63:
-        raise BudgetError(f"an evaluation box of {total} rows exceeds the int64 row index range")
-    if rows == 0:
-        raise BudgetError(
-            f"one row of {lam_max + 1} levels exceeds the chunk budget of {_CHUNK_CELLS} cells"
-        )
-    if total > rows:
-        dim = len(shape)
-        ball = sum(DEFAULT_CACHE.table(SphereSpec(dim, degree), lam_max).counts[: lam_max + 1])
-        if len(sup_pts) * ball <= min(total, DEFAULT_SUPPORT_BUDGET):
-            cand = _candidate_rows(sup_pts, _ball_offsets(dim, degree, lam_max)[0], lo, shape)
-            for start in range(0, len(cand), rows):
-                yield cand[start : start + rows]
-            return
-    for start in range(0, total, rows):
-        yield np.arange(start, min(start + rows, total), dtype=np.int64)
-
-
-def _bbox_reach_mask(points: np.ndarray, bbox, degree: int, lam_max: int) -> np.ndarray:
-    """Rows whose k-distance to the bounding box is <= lam_max.
-
-    A lower bound on the distance to the support itself, so the complement
-    has identically zero level profiles.
-    """
-    lo, hi = bbox
-    gap_sum = np.zeros(len(points), dtype=np.int64)
-    for axis in range(points.shape[1]):
-        col = points[:, axis]
-        gap = np.maximum(np.maximum(lo[axis] - col, col - hi[axis]), 0)
-        gap_sum += gap**degree
-    return gap_sum <= lam_max
-
-
-def _level_profile(
-    points: np.ndarray, sup_pts: np.ndarray, sup_vals: np.ndarray, degree: int, lam_max: int
-) -> np.ndarray:
-    """Profile A(i, nu) = sum over the support of f(s) at level nu = |x_i - s|^k.
-
-    Each block of _SUPPORT_BLOCK support points scatters the rows through
-    one weighted bincount, and the block sums are added in support order.
-    So the summation order of a row is fixed by the support alone, whatever
-    rows are evaluated with it.  Rows are scattered in slices of at most
-    _CHUNK_CELLS (row, support point) pairs, which bounds the temporaries.
-    """
+def _level_profile(points: np.ndarray, sup_pts: np.ndarray, sup_vals: np.ndarray, degree: int,
+                   lam_max: int) -> np.ndarray:
+    """Profile A(i, nu) = sum over the support of f(s) at level nu = |x_i - s|^k, pulled: each block of
+    _SUPPORT_BLOCK points scatters the rows, in slices of at most _SLICE (row, point) pairs, through
+    one weighted bincount, and the block sums are added in support order, whatever the rows."""
     n, width = len(points), lam_max + 1
     prof = np.zeros((n, width), dtype=np.float64)
     block = min(_SUPPORT_BLOCK, len(sup_vals))
-    step = max(1, _CHUNK_CELLS // block)
+    step = max(1, _SLICE // block)
     lev_buf = np.empty((min(n, step), block), dtype=np.int64)
     tmp_buf = np.empty_like(lev_buf)
     for r in range(0, n, step):
@@ -268,39 +265,42 @@ def _fold(profiles: list[np.ndarray]) -> np.ndarray:
 
 
 def _live_profiles(fs: list[GridFunction], degree: int, lam_max: int):
-    """The evaluation engine: yield (points, flat, profiles) per chunk of live rows.
-
-    Chunks cover the live rows of the common evaluation box in lexicographic
-    order: those where no input's profile is identically zero.  points holds
-    their coordinates, flat their indices in the box (row-major), and
-    profiles[j] the levels 0..lam_max of fs[j].
-    Profiles are built smallest support first, shrinking the live set as
-    empty rows appear, so large supports are only scattered where needed.
-    """
-    box = _common_grid_box(fs, kth_root_floor(lam_max, degree))
-    if box is None:
+    """The evaluation engine: yield (points, flat, profiles) per slab for its rows where no input's profile
+    is zero, in order: their coordinates, row-major box indices, and levels 0..lam_max of each fs[j]."""
+    if (box := _common_grid_box(fs, radius := kth_root_floor(lam_max, degree))) is None:
         return
     lo, shape = box
+    total, rows = math.prod(shape), min(_CHUNK_ROWS, _CHUNK_CELLS // (lam_max + 1))
+    if total >= 1 << 63:
+        raise BudgetError(f"an evaluation box of {total} rows exceeds the int64 row index range")
+    if rows == 0:
+        raise BudgetError(f"one row of {lam_max + 1} levels exceeds the chunk budget of {_CHUNK_CELLS} cells")
+    axis = next((a for a in range(len(shape)) if math.prod(shape[a + 1 :]) <= rows  # spans of at most
+                 and math.prod(shape[a:]) <= _CHUNK_CELLS), len(shape) - 1)     # _CHUNK_CELLS rows
+    span, step = shape[axis] * (tail := math.prod(shape[axis + 1 :])), min(shape[axis], rows // tail) * tail
+
+    def coords(flat):
+        return np.stack(np.unravel_index(flat, shape), axis=1) + lo
     supports = [f.arrays() for f in fs]
     order = sorted(range(len(fs)), key=lambda j: len(supports[j][1]))
-    for flat in _row_chunks(lo, shape, supports[order[0]][0], degree, lam_max):
-        points = np.stack(np.unravel_index(flat, shape), axis=1) + lo
-        live = np.ones(len(flat), dtype=bool)
-        for f in fs:
-            live &= _bbox_reach_mask(points, f.bbox, degree, lam_max)
-        flat, points = flat[live], points[live]
-        built: dict[int, np.ndarray] = {}
-        for j in order:
-            if len(flat) == 0:
-                break
-            prof = _level_profile(points, *supports[j], degree, lam_max)
-            keep = prof.any(axis=1)
-            if not keep.all():
-                flat, points, prof = flat[keep], points[keep], prof[keep]
-                built = {jj: p[keep] for jj, p in built.items()}
-            built[j] = prof
-        if len(flat):
-            yield points, flat, [built[j] for j in range(len(fs))]
+    stencil = None      # one slab, a k-ball past the support budget, or keys past int64: only pull
+    if total > rows and (2 * radius + 3) ** (axis + 1) < 1 << 62:
+        ball = DEFAULT_CACHE.table(SphereSpec(len(shape), degree), lam_max).counts[: lam_max + 1]
+        if sum(ball) <= min(total, DEFAULT_SUPPORT_BUDGET):
+            stencil = _Stencil(lo, shape, axis, degree, lam_max, supports)
+    for t in (stencil.reach(order[0]) * span).tolist() if stencil else range(0, total, span):
+        whole = stencil and span <= _CHUNK_CELLS and stencil.spans(t, t + span, order[0])[1].sum() <= rows
+        for first in [t] if whole else range(t, t + span, step):
+            flat, built = np.arange(first, stop := t + span if whole else min(first + step, t + span)), {}
+            for j in order:
+                kept, prof = stencil and stencil.push(first, stop, j, flat - first) or (
+                    np.arange(len(flat)), _level_profile(coords(flat), *supports[j], degree, lam_max))
+                kept, built[j] = kept[nz := prof.any(axis=1)], prof[nz]
+                flat, built = flat[kept], {jj: p if jj == j else p[kept] for jj, p in built.items()}
+                if len(flat) == 0:
+                    break
+            if len(flat):
+                yield coords(flat), flat, [built[j] for j in range(len(fs))]
 
 
 def _evaluate(fs: list[GridFunction], degree: int, lam_max: int, reduce) -> GridFunction:

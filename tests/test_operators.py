@@ -333,17 +333,19 @@ def test_domination_reports_first_pruned_row_when_live_rows_are_negative(monkeyp
     m = hl_maximal(f, spec, lam_max)
     s = linear_spherical_maximal(f, spec, lam_max)
     assert all(lhs.value(x) - m.value(x) * max(s.value(x), f.value(x)) < 0.0 for x in live)
-    # one chunk walks the box; 7-row chunks walk f's support plus the k-ball,
-    # which here is the live rows; either way the second profile sees live rows
-    evaluated = spy_profile_rows(monkeypatch)
-    for rows, walked in ((1 << 16, len(box)), (7, len(live))):
+    # one chunk pulls both profiles; 7-row chunks (5-row slabs) push them through the
+    # k-ball; either way the first profile is built for every box row and the second
+    # only for the live ones
+    built = spy_profile_rows(monkeypatch)
+    for rows, path in ((1 << 16, "pull"), (7, "push")):
         monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
-        evaluated.clear()
+        built.clear()
         rep = domination_check(f, f, spec, lam_max)
         assert rep.max_violation == 0.0
         assert rep.argmax_point == pruned[0]
         assert rep.points_checked == len(box)
-        assert sum(evaluated) == walked + len(live)
+        assert {kind for kind, _ in built} == {path}
+        assert sum(n for _, n in built) == len(box) + len(live)
 
 
 def test_outputs_independent_of_chunk_size(monkeypatch):
@@ -369,51 +371,133 @@ def test_outputs_independent_of_chunk_size(monkeypatch):
         assert big == small
 
 
-def spy_profile_rows(monkeypatch) -> list[int]:
-    """Record the row count of every _level_profile call."""
-    rows: list[int] = []
-    profile = operators._level_profile
+def spy_profile_rows(monkeypatch) -> list[tuple[str, int]]:
+    """Record ("push" or "pull", rows) for every level profile built."""
+    built: list[tuple[str, int]] = []
+    push, pull = operators._Stencil.push, operators._level_profile
 
-    def spy(points, *args):
-        rows.append(len(points))
-        return profile(points, *args)
+    def spy_push(self, first, stop, j, rows):
+        got = push(self, first, stop, j, rows)
+        if got is not None:
+            built.append(("push", len(rows)))
+        return got
 
-    monkeypatch.setattr(operators, "_level_profile", spy)
-    return rows
+    def spy_pull(points, *args):
+        built.append(("pull", len(points)))
+        return pull(points, *args)
+
+    monkeypatch.setattr(operators._Stencil, "push", spy_push)
+    monkeypatch.setattr(operators, "_level_profile", spy_pull)
+    return built
 
 
-def test_candidate_rows_match_box_rows(monkeypatch):
-    # four points spread over [0, 20]^3 make a 27^3-row box, while their
-    # dilation by the k-ball (lam_max = 9) has only a few hundred rows
+def test_push_matches_pull(monkeypatch):
+    # one box-sized chunk pulls every profile; 64-row chunks of 1024 cells and 256-pair
+    # slices push them through the k-ball slab by slab, or pull them where few rows stay live
     rng = random.Random(606)
     spec = SphereSpec(3, 2)
     lam_max = 9
-    corners = [(0, 0, 0), (20, 3, 1), (4, 20, 7), (12, 9, 20)]
-    f = GridFunction(3, {p: rng.uniform(-1, 1) for p in corners})
-    g = GridFunction(3, {p: rng.uniform(-1, 1) for p in corners + [(5, 5, 5), (15, 2, 18)]})
-    f_abs = GridFunction(3, {p: abs(v) for p, v in f.values.items()})
-    g_abs = GridFunction(3, {p: abs(v) for p, v in g.values.items()})
-    box_rows = 27**3
-    ball = sum(rep_counts(spec, lam_max).counts)
-    assert len(corners) * ball < box_rows
+    f = random_function(rng, 3, size=300, span=6)                  # signed, two support blocks
+    g = random_function(rng, 3, size=40, span=3)                   # f's s + B leaves their common box
+    far = GridFunction(3, {(0, 0, 0): 0.5, (20, 3, 1): -1.25, (4, 20, 7): 0.75, (12, 9, 20): 1.5})
+    near = GridFunction(3, {**far.values, (5, 5, 5): -0.25, (15, 2, 18): 2.0})
     cfg = OperatorConfig(spec, 2, lam_max, Normalization.ASYMPTOTIC)
-    evaluated = spy_profile_rows(monkeypatch)
+    calls = [
+        lambda: multilinear_average([f, g], lam_max, cfg),
+        lambda: multilinear_maximal([g, f], cfg),
+        lambda: hl_maximal(f, spec, lam_max),
+        lambda: linear_spherical_maximal(g, spec, lam_max),
+        lambda: multilinear_average([far, near], lam_max, cfg),
+        lambda: multilinear_maximal([near, far], cfg),
+        lambda: hl_maximal(far, spec, lam_max),
+        lambda: linear_spherical_maximal(near, spec, lam_max),
+    ] + [
+        lambda a=a, b=b: domination_check(
+            GridFunction(3, {p: abs(v) for p, v in a.values.items()}),
+            GridFunction(3, {p: abs(v) for p, v in b.values.items()}), spec, lam_max)
+        for a, b in ((f, g), (g, f), (far, near), (near, far))
+    ]
+    built = spy_profile_rows(monkeypatch)
+    sent = []
+    push = operators._Stencil.push
+
+    def spy_push(self, first, stop, j, rows):   # the pairs each support block sends into the slab
+        count = self.spans(first, stop, j)[1]
+        got = push(self, first, stop, j, rows)
+        if got is not None:
+            sent.append((max(count[b : b + 256].sum() for b in range(0, len(count), 256)),
+                         len(count), bool(self.supports[j][2].any())))
+        return got
+
+    monkeypatch.setattr(operators._Stencil, "push", spy_push)
     outputs = []
-    for rows in (1 << 20, 64):
+    for rows, cells, pairs in ((1 << 20, 1 << 24, 1 << 15), (64, 1 << 10, 256)):
         monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
-        evaluated.clear()
+        monkeypatch.setattr(operators, "_CHUNK_CELLS", cells)
+        monkeypatch.setattr(operators, "_SLICE", pairs)
+        built.clear()
+        outputs.append([repr(c()) if c in calls[-4:] else repr(c().items_sorted()) for c in calls])
+        if rows == 1 << 20:
+            assert {kind for kind, _ in built} == {"pull"}
+    assert {kind for kind, _ in built} == {"push", "pull"}
+    assert max(blocks for _, blocks, _ in sent) > 256                  # several blocks pushed
+    assert any(edge for _, _, edge in sent)                             # edge masks applied
+    assert max(pairs for pairs, _, _ in sent) > 1 << 10                 # a block past the cell budget
+    for pulled, pushed in zip(*outputs):
+        assert pulled == pushed
+
+
+def test_slabs_out_of_reach_are_skipped(monkeypatch):
+    # two points 30 apart on every axis of Z^5 make a 37^5-row box (69 M rows); only the slabs
+    # within the k-ball of a point are walked, a few million rows
+    spec = SphereSpec(5, 2)
+    f = GridFunction(5, {(0,) * 5: 1.0, (30,) * 5: 0.5})
+    built = spy_profile_rows(monkeypatch)
+    out = hl_maximal(f, spec, 12)
+    assert out.support_size() == 2 * sum(rep_counts(spec, 12).counts)
+    assert 0 < sum(n for _, n in built) < 10**7
+
+
+def test_ball_past_support_budget_is_pulled(monkeypatch):
+    # the k-ball of Z^3 at lam_max = 9 has 123 points; under a budget of 100 every
+    # profile is pulled, with no k-ball built, and the outputs keep their bytes
+    rng = random.Random(9)
+    spec = SphereSpec(3, 2)
+    f = random_function(rng, 3, size=5, span=4, nonnegative=True)
+    g = random_function(rng, 3, size=4, span=4, nonnegative=True)
+    cfg = OperatorConfig(spec, 2, 9, Normalization.ASYMPTOTIC)
+    assert sum(rep_counts(spec, 9).counts) == 123
+    monkeypatch.setattr(operators, "_CHUNK_ROWS", 64)
+    balls = []
+    ball_offsets = operators._ball_offsets
+    monkeypatch.setattr(operators, "_ball_offsets", lambda *a: balls.append(a) or ball_offsets(*a))
+    outputs = []
+    for budget in (counts.DEFAULT_SUPPORT_BUDGET, 100):
+        monkeypatch.setattr(counts, "DEFAULT_SUPPORT_BUDGET", budget)
+        monkeypatch.setattr(operators, "DEFAULT_SUPPORT_BUDGET", budget)
+        balls.clear()
         outputs.append([
-            repr(multilinear_average([f, g], lam_max, cfg).items_sorted()),
-            repr(multilinear_maximal([g, f], cfg).items_sorted()),
-            repr(hl_maximal(f, spec, lam_max).items_sorted()),
-            repr(linear_spherical_maximal(f, spec, lam_max).items_sorted()),
-            repr(domination_check(f_abs, g_abs, spec, lam_max)),
-            repr(domination_check(g_abs, f_abs, spec, lam_max)),
+            repr(multilinear_average([f, g], 9, cfg).items_sorted()),
+            repr(domination_check(f, g, spec, 9)),
+            repr(domination_check(g, f, spec, 9)),
         ])
-    # at 64-row chunks all six calls together evaluate fewer rows than one box
-    assert sum(evaluated) < box_rows
-    for big, small in zip(*outputs):
-        assert big == small
+        assert bool(balls) == (budget != 100)
+    assert outputs[0] == outputs[1]
+
+
+def test_one_chunk_calls_build_no_ball(monkeypatch):
+    # a box of one chunk is pulled: no k-ball and no count table are built for it
+    rng = random.Random(12)
+    spec = SphereSpec(2, 2)
+    fs = [random_function(rng, 2) for _ in range(2)]
+    cfg = OperatorConfig(spec, 2, 40, Normalization.ASYMPTOTIC)
+    work = []
+    monkeypatch.setattr(operators, "_ball_offsets", lambda *a: work.append("ball"))
+    monkeypatch.setattr(operators.DEFAULT_CACHE, "table", lambda *a: work.append("table"))
+    assert multilinear_average(fs, 40, cfg).support_size() > 0
+    assert multilinear_maximal(fs, cfg).support_size() > 0
+    assert hl_maximal(fs[0], spec, 40).support_size() > 0
+    assert work == []
 
 
 def test_chunk_rows_bounded_by_profile_cells(monkeypatch):
