@@ -18,12 +18,15 @@ f_j(x - u),  nu = 0..Lam.  The left fold of pairwise level convolutions
 
 gives T_lam(x) = P(x, lam) / norm(lam).  One engine, _live_profiles, builds
 the profiles for every operator, and each operator is a reduction of them.
-Its rows, in the common box (the dilations by floor(Lam^(1/k)) of the
-supports' bounding boxes, intersected), are walked in lexicographic slabs,
-each profile pushed through the k-ball or pulled onto the rows still live
-(see _Stencil), smallest support first, dropping rows where one is zero.
-Supports are summed in fixed blocks, each in support order, added in
-order, and later steps work row by row, so every value's summation order
+Its rows lie in the common box (the dilations by floor(Lam^(1/k)) of the
+supports' bounding boxes, intersected) and are walked in lexicographic
+order, at most a chunk at a time: the segments of rows sharing a coordinate
+prefix that a k-ball around a point of the smallest support reaches, whole
+where it sends them many pairs, else gathered, only the rows reached.  Each
+profile, smallest support first, is pushed through the k-ball or pulled
+onto the rows still live (see _Stencil), and rows where one is zero are
+dropped.  Supports are summed in fixed blocks, each in support order, added
+in order, and later steps work row by row, so every value's summation order
 depends on the support alone: outputs are byte-identical for any chunking.
 
 Pointwise domination: for nonnegative inputs and asymptotic normalization,
@@ -120,90 +123,156 @@ def _common_grid_box(fs: list[GridFunction], radius: int) -> tuple[np.ndarray, t
 
 
 class _Stencil:
-    """The k-ball B = {u : |u|^k <= lam_max} as a stencil: point s adds f(s) to cell (s + u, |u|^k), u in B,
-    in slabs of rows with the coordinates before `axis` fixed.  B is lexicographic, so s sends one range
-    of B into a slab: searchsorted on a radix-(2r + 3) key of u[:axis + 1] finds it (r the radius)."""
+    """The k-ball B = {u : |u|^k <= lam_max} as a stencil: support point s adds f(s) to cell
+    (s + u, |u|^k) for every u in B.
+
+    The box's rows fall into segments, the rows that share their first `axis` coordinates, and B
+    into runs, the offsets that share theirs.  B is lexicographic, so a run is a range of B, and a
+    point sends at most one run into a segment: the one whose prefix is the segment's minus the
+    point's, found by searchsorted on a radix-(2r + 3) key of the prefix (r the radius).
+    """
 
     def __init__(self, lo: np.ndarray, shape, axis: int, degree: int, lam_max: int, supports):
-        self.offsets, levels = _ball_offsets(len(shape), degree, lam_max)
-        r = self.radius = kth_root_floor(lam_max, degree)
-        self.shape, self.axis, self.width, self.tail = shape, axis, lam_max + 1, math.prod(shape[axis + 1 :])
-        self.radix = (2 * r + 3) ** np.arange(axis, -1, -1, dtype=np.int64)
-        self.key = self.radix @ (self.offsets[: axis + 1] + r + 1)
-        strides = np.array([math.prod(shape[i + 1 :]) for i in range(axis, len(shape))])
-        self.cell = strides @ self.offsets[axis:] * self.width + levels    # slab row offset * width + level
-        self.supports = []      # per input: box-relative points by axis, their cells, which are near an edge
+        offsets, levels = _ball_offsets(len(shape), degree, lam_max)
+        self.radius = kth_root_floor(lam_max, degree)
+        self.shape, self.axis, self.width = shape, axis, lam_max + 1
+        self.size = math.prod(shape[axis:])                         # rows per segment
+        self.radix = (2 * self.radius + 3) ** np.arange(axis - 1, -1, -1, dtype=np.int64)
+        key = self.radix @ (offsets[:axis] + self.radius + 1)
+        self.start = np.flatnonzero(np.diff(key, prepend=-1))      # the runs of B
+        self.length = np.diff(self.start, append=len(key))
+        self.key, self.prefix = key[self.start], offsets[:axis, self.start]
+        self.tail = offsets[axis:]
+        strides = np.array([math.prod(shape[i + 1 :]) for i in range(axis, len(shape))], np.int64)
+        self.cell = strides @ self.tail * self.width + levels   # row in a segment * width + level
+        self.supports = []      # per input: box-relative points split at axis, their cells, values
         for pts, vals in supports:
-            rel = np.ascontiguousarray((pts - lo).T)
-            near = ((rel[axis + 1 :] < r) | (rel[axis + 1 :].T + r >= shape[axis + 1 :]).T).any(axis=0)
-            self.supports.append((rel, strides @ rel[axis:] * self.width, near, vals))
+            head, tail = np.split((pts - lo).T, [axis])
+            edge = np.array(shape[axis:])[:, None] - self.radius
+            near = ((tail < self.radius) | (tail >= edge)).any(axis=0)  # some pair leaves the box
+            self.supports.append((head, tail, strides @ tail * self.width, near, vals))
 
-    def reach(self, j: int) -> np.ndarray:
-        """Sorted flat indices of the slab prefixes a k-ball of input j reaches (all, if too many to list)."""
-        runs = np.flatnonzero(np.diff(self.key // (2 * self.radius + 3), prepend=-1))  # B by prefix
-        pre = self.offsets[: self.axis, runs]
-        if not self.axis or pre.shape[1] * self.supports[j][0].shape[1] > _CHUNK_CELLS:
-            return np.arange(math.prod(self.shape[: self.axis]))
-        reached = (self.supports[j][0][: self.axis, :, None] + pre[:, None, :]).reshape(self.axis, -1)
-        inside = ((reached >= 0) & (reached < np.array(self.shape[: self.axis])[:, None])).all(axis=0)
-        return np.unique(np.ravel_multi_index(reached[:, inside], self.shape[: self.axis]))
+    def pairs(self, j: int, pts: np.ndarray, run: np.ndarray) -> np.ndarray:
+        """The cell in the segment (row there * width + level) of each pair that points pts of
+        input j send through their runs, in order, or -1 where the pair leaves the box."""
+        _, tail, base, near, _ = self.supports[j]
+        k = self.length[run]
+        ends = np.cumsum(k)
+        idx = np.arange(ends[-1]) + np.repeat(self.start[run] - ends + k, k)
+        cells = self.cell[idx] + np.repeat(base[pts], k)
+        edge = np.flatnonzero(np.repeat(near[pts], k))
+        if len(edge):
+            p, u, out = np.repeat(pts, k)[edge], idx[edge], np.zeros(len(edge), dtype=bool)
+            for i, size in enumerate(self.shape[self.axis :]):
+                out |= (tail[i][p] + self.tail[i][u]).astype(np.uint64) >= size
+            cells[edge[out]] = -1
+        return cells
 
-    def spans(self, first: int, stop: int, j: int):
-        """(start in B, count) of the offsets each point of input j sends into slab first..stop-1."""
-        ax, r, rel = self.axis, self.radius, self.supports[j][0]
-        u = np.array(np.unravel_index(first, self.shape)[: ax + 1])[:, None] - rel[: ax + 1]
-        last = np.minimum(np.maximum(u[ax] + (stop - first) // self.tail - 1, -r - 1), r + 1)
-        u = np.minimum(np.maximum(u, -r - 1), r + 1)      # the digits -r - 1, r + 1 match no offset
-        start = np.searchsorted(self.key, key := self.radix @ (u + r + 1))
-        return start, np.maximum(np.searchsorted(self.key, key + last - u[ax], "right") - start, 0)
+    def push(self, j: int, flat: np.ndarray):
+        """Profile of input j on the sorted rows flat, or None where pulling them is cheaper.
 
-    def push(self, first: int, stop: int, j: int, rows: np.ndarray):
-        """(kept, profile) of input j on rows (offsets from first) of slab first..stop-1, or None
-        when a pull is cheaper.  kept indexes the rows some pair reaches, or all rows.  Each block of
-        _SUPPORT_BLOCK points is summed from +0.0 pair by pair in support order (np.add.at), and
-        the blocks are added in order: the sums of _level_profile."""
-        rel, base, near, vals = self.supports[j]
-        ax, n, width, shape = self.axis, stop - first, self.width, self.shape
-        start, count = self.spans(first, stop, j)
-        ends, base = np.cumsum(count), base - first % (shape[ax] * self.tail) * width
-        few = ends[-1] < len(rows) or n * width > _CHUNK_CELLS     # then profile only the rows reached
-        if ends[-1] > _CHUNK_CELLS if few else ends[-1] + 3 * count[near].sum() >= 2 * len(rows) * len(vals):
-            return None     # a pulled pair costs about two pushed ones, four near an edge
-
-        def pairs(a, c):    # cell (in the scratch row n when it leaves the box) and value of each pair
-            k = count[a:c]
-            idx = np.arange(ends[c - 1] - ends[a] + k[0]) + np.repeat(start[a:c] - np.cumsum(k) + k, k)
-            cells, edge = self.cell[idx] + np.repeat(base[a:c], k), np.flatnonzero(np.repeat(near[a:c], k))
-            if len(edge):
-                pts, out = np.repeat(np.arange(a, c), k)[edge], np.zeros(len(edge), dtype=bool)
-                for i in range(ax + 1, len(shape)):
-                    out |= (rel[i][pts] + self.offsets[i][idx[edge]]).astype(np.uint64) >= shape[i]
-                cells[edge[out]] = n * width
-            return cells, np.repeat(vals[a:c], k)
-
-        kept = np.arange(len(rows))
-        if few:     # profile only the rows some pair reaches; slot maps slab rows to profile rows
-            kept = np.flatnonzero(np.bincount(pairs(0, len(vals))[0] // width, minlength=n + 1)[rows])
-            slot = np.full(n + 1, len(kept))
-            slot[rows[kept]] = np.arange(len(kept))
-        prof = np.zeros((len(kept) if few else n) * width + width)     # and a scratch row
-        for a in range(0, len(vals), _SUPPORT_BLOCK):
-            b, acc = min(a + _SUPPORT_BLOCK, len(vals)), prof if a == 0 else np.zeros_like(prof)
-            while a < b:    # slices of about _SLICE pairs
-                c = min(max(int(np.searchsorted(ends, ends[a] - count[a] + _SLICE, "right")), a + 1), b)
-                cells, w = pairs(a, c)
-                np.add.at(acc, (slot[cells // width] - cells // width) * width + cells if few else cells, w)
-                a = c
+        The pairs land in the slab of segments from flat's first to its last.  A slab of more
+        than _CHUNK_CELLS rows, or of several segments that need more than _CHUNK_CELLS
+        (segment, point) lookups, is pulled; one of more than _CHUNK_CELLS cells is profiled on
+        flat's rows alone.  Each block of _SUPPORT_BLOCK points is summed from +0.0 pair by pair
+        in support order (np.add.at, in slices of about _SLICE pairs), and the blocks are added
+        in order: the sums of _level_profile.
+        """
+        head, _, _, near, vals = self.supports[j]
+        r, width = self.radius, self.width
+        first, stop = flat[0] // self.size, flat[-1] // self.size + 1
+        n = (stop - first) * self.size
+        if n > _CHUNK_CELLS or (stop - first > 1 and (stop - first) * len(vals) > _CHUNK_CELLS):
+            return None
+        at = np.array(np.unravel_index(np.arange(first, stop), self.shape[: self.axis]))
+        u = np.clip(at[..., None] - head[:, None], -r - 1, r + 1)      # -r - 1, r + 1: no run
+        key = np.tensordot(self.radix, u + r + 1, 1)
+        run = np.minimum(np.searchsorted(self.key, key), len(self.key) - 1)
+        seg, pts = np.nonzero(self.key[run] == key)                     # by segment, then point
+        run = run[seg, pts]
+        k = self.length[run]
+        if k.sum() + 2 * k[near[pts]].sum() >= len(flat) * len(vals):
+            return None     # a pushed pair costs about as much as a pulled one, three near an edge
+        full = n * width <= _CHUNK_CELLS    # else slot maps slab rows to those of flat
+        if full:
+            prof = np.zeros((n + 1) * width)    # and a scratch row for the pairs that miss
+        else:
+            slot = np.full(n + 1, len(flat))
+            slot[flat - first * self.size] = np.arange(len(flat))
+            prof = np.zeros((len(flat) + 1) * width)
+        for i, block in enumerate(np.unique(pts // _SUPPORT_BLOCK)):
+            mine = np.flatnonzero(pts // _SUPPORT_BLOCK == block)
+            acc = prof if i == 0 else np.zeros_like(prof)
+            ends = np.cumsum(k[mine])
+            a = 0
+            while a < len(mine):
+                c = int(np.searchsorted(ends, ends[a] - k[mine[a]] + _SLICE, "right"))
+                hits = mine[a : min(max(c, a + 1), len(mine))]
+                cells = self.pairs(j, pts[hits], run[hits])
+                out = cells < 0
+                if stop - first > 1:
+                    cells += np.repeat(seg[hits] * (self.size * width), k[hits])
+                cells[out] = n * width
+                if not full:
+                    cells = slot[cells // width] * width + cells % width
+                np.add.at(acc, cells, np.repeat(vals[pts[hits]], k[hits]))
+                a += len(hits)
             if acc is not prof:
                 prof += acc
-        return kept, prof.reshape(-1, width)[:-1] if few else prof.reshape(-1, width)[rows]
+        prof = prof.reshape(-1, width)
+        if full:
+            return prof[flat - first * self.size]
+        return prof[:-1]
+
+    def walk(self, j: int, rows: int):
+        """Yield (flat rows, profile of input j on them or None), in order, over the segments that
+        input j reaches.  A segment it sends more than _SLICE // 2 pairs comes alone, unprofiled.
+        The others are gathered in units of fewer than _SLICE pairs and profiled on the rows
+        reached, `rows` at a time, block by block in support order as in push.  j's runs into
+        the box are found in blocks of _CHUNK_CELLS; past DEFAULT_SUPPORT_BUDGET of them, every
+        segment comes alone."""
+        head, _, _, _, vals = self.supports[j]
+        dims, width = self.shape[: self.axis], self.width
+        if len(vals) * len(self.key) > DEFAULT_SUPPORT_BUDGET:
+            for at in range(0, math.prod(self.shape), self.size):
+                yield np.arange(at, at + self.size), None
+            return
+        step, parts = max(1, _CHUNK_CELLS // len(self.key)), []
+        for a in range(0, len(vals), step):
+            seg = head[:, a : a + step, None] + self.prefix[:, None, :]
+            pt, run = np.nonzero(((seg >= 0) & (seg < np.array(dims)[:, None, None])).all(axis=0))
+            parts.append((np.ravel_multi_index(tuple(seg[:, pt, run]), dims), pt + a, run))
+        seg, pts, run = (np.concatenate(p) for p in zip(*parts))
+        order = np.argsort(seg, kind="stable")                      # by segment, then point
+        seg, pts, run = seg[order], pts[order], run[order]
+        first = np.flatnonzero(np.diff(seg, prepend=-1))           # each segment's first run
+        pairs, half = np.add.reduceat(self.length[run], first), max(1, _SLICE // 2)
+        before = np.cumsum(pairs) - pairs
+        units = np.flatnonzero((pairs > half) | (np.diff(before // half, prepend=-1) != 0))
+        for a, b in zip(first[units].tolist(), [*first[units[1:]].tolist(), len(seg)]):
+            if seg[a] == seg[b - 1]:
+                yield np.arange(seg[a] * self.size, (seg[a] + 1) * self.size), None
+                continue
+            cells = self.pairs(j, pts[a:b], run[a:b])
+            k, inside = self.length[run[a:b]], cells >= 0
+            p, level = np.repeat(pts[a:b], k)[inside], cells[inside] % width
+            reached = np.repeat(seg[a:b], k)[inside] * self.size + cells[inside] // width
+            flat, slot = np.unique(reached, return_inverse=True)
+            for c in range(0, len(flat), rows):
+                part = slot // rows == c // rows
+                prof = np.zeros(len(flat[c : c + rows]) * width)
+                for block in np.unique(p[part] // _SUPPORT_BLOCK):
+                    mine = part & (p // _SUPPORT_BLOCK == block)
+                    cell = (slot[mine] - c) * width + level[mine]
+                    prof += np.bincount(cell, vals[p[mine]], minlength=len(prof))
+                yield flat[c : c + rows], prof.reshape(-1, width)
 
 
 def _level_profile(points: np.ndarray, sup_pts: np.ndarray, sup_vals: np.ndarray, degree: int,
                    lam_max: int) -> np.ndarray:
-    """Profile A(i, nu) = sum over the support of f(s) at level nu = |x_i - s|^k, pulled: each block of
-    _SUPPORT_BLOCK points scatters the rows, in slices of at most _SLICE (row, point) pairs, through
-    one weighted bincount, and the block sums are added in support order, whatever the rows."""
+    """Profile A(i, nu) = sum over the support of f(s) at level nu = |x_i - s|^k, pulled: each
+    block of _SUPPORT_BLOCK points scatters the rows, in slices of at most _SLICE (row, point)
+    pairs, through one weighted bincount, and the block sums are added in support order."""
     n, width = len(points), lam_max + 1
     prof = np.zeros((n, width), dtype=np.float64)
     block = min(_SUPPORT_BLOCK, len(sup_vals))
@@ -265,42 +334,68 @@ def _fold(profiles: list[np.ndarray]) -> np.ndarray:
 
 
 def _live_profiles(fs: list[GridFunction], degree: int, lam_max: int):
-    """The evaluation engine: yield (points, flat, profiles) per slab for its rows where no input's profile
-    is zero, in order: their coordinates, row-major box indices, and levels 0..lam_max of each fs[j]."""
-    if (box := _common_grid_box(fs, radius := kth_root_floor(lam_max, degree))) is None:
+    """The evaluation engine: yield (points, flat, profiles) per chunk of live rows.
+
+    Chunks cover the live rows of the common evaluation box in lexicographic
+    order: those where no input's profile is identically zero.  points holds
+    their coordinates, flat their indices in the box (row-major), and
+    profiles[j] the levels 0..lam_max of fs[j].
+    Profiles are built smallest support first, shrinking the live set as
+    empty rows appear, so large supports are only scattered where needed.
+    A box of one chunk, a k-ball past the support budget, or a run key past
+    int64 builds no stencil: every profile is pulled.
+    """
+    radius = kth_root_floor(lam_max, degree)
+    box = _common_grid_box(fs, radius)
+    if box is None:
         return
     lo, shape = box
     total, rows = math.prod(shape), min(_CHUNK_ROWS, _CHUNK_CELLS // (lam_max + 1))
     if total >= 1 << 63:
         raise BudgetError(f"an evaluation box of {total} rows exceeds the int64 row index range")
     if rows == 0:
-        raise BudgetError(f"one row of {lam_max + 1} levels exceeds the chunk budget of {_CHUNK_CELLS} cells")
-    axis = next((a for a in range(len(shape)) if math.prod(shape[a + 1 :]) <= rows  # spans of at most
-                 and math.prod(shape[a:]) <= _CHUNK_CELLS), len(shape) - 1)     # _CHUNK_CELLS rows
-    span, step = shape[axis] * (tail := math.prod(shape[axis + 1 :])), min(shape[axis], rows // tail) * tail
-
-    def coords(flat):
-        return np.stack(np.unravel_index(flat, shape), axis=1) + lo
+        raise BudgetError(
+            f"one row of {lam_max + 1} levels exceeds the chunk budget of {_CHUNK_CELLS} cells"
+        )
     supports = [f.arrays() for f in fs]
     order = sorted(range(len(fs)), key=lambda j: len(supports[j][1]))
-    stencil = None      # one slab, a k-ball past the support budget, or keys past int64: only pull
-    if total > rows and (2 * radius + 3) ** (axis + 1) < 1 << 62:
+    axis = next(a for a in range(len(shape) + 1) if math.prod(shape[a:]) <= rows)
+    stencil = None
+    if total > rows and (2 * radius + 3) ** axis < 1 << 62:
         ball = DEFAULT_CACHE.table(SphereSpec(len(shape), degree), lam_max).counts[: lam_max + 1]
         if sum(ball) <= min(total, DEFAULT_SUPPORT_BUDGET):
             stencil = _Stencil(lo, shape, axis, degree, lam_max, supports)
-    for t in (stencil.reach(order[0]) * span).tolist() if stencil else range(0, total, span):
-        whole = stencil and span <= _CHUNK_CELLS and stencil.spans(t, t + span, order[0])[1].sum() <= rows
-        for first in [t] if whole else range(t, t + span, step):
-            flat, built = np.arange(first, stop := t + span if whole else min(first + step, t + span)), {}
-            for j in order:
-                kept, prof = stencil and stencil.push(first, stop, j, flat - first) or (
-                    np.arange(len(flat)), _level_profile(coords(flat), *supports[j], degree, lam_max))
-                kept, built[j] = kept[nz := prof.any(axis=1)], prof[nz]
-                flat, built = flat[kept], {jj: p if jj == j else p[kept] for jj, p in built.items()}
-                if len(flat) == 0:
-                    break
-            if len(flat):
-                yield coords(flat), flat, [built[j] for j in range(len(fs))]
+    if stencil is None:
+        units = ((np.arange(a, min(a + rows, total)), None) for a in range(0, total, rows))
+    else:
+        units = stencil.walk(order[0], rows)
+    for flat, smallest in units:
+        points = None       # the coordinates of flat, once a pull needs them
+        built: dict[int, np.ndarray] = {}
+        for j in order:
+            if j == order[0] and smallest is not None:
+                prof = smallest
+            elif stencil is not None:
+                prof = stencil.push(j, flat)
+            else:
+                prof = None
+            if prof is None:
+                if points is None:
+                    points = np.stack(np.unravel_index(flat, shape), axis=1) + lo
+                prof = _level_profile(points, *supports[j], degree, lam_max)
+            keep = prof.any(axis=1)
+            if not keep.all():
+                flat, prof = flat[keep], prof[keep]
+                built = {jj: p[keep] for jj, p in built.items()}
+                if points is not None:
+                    points = points[keep]
+            built[j] = prof
+            if len(flat) == 0:
+                break
+        if len(flat):
+            if points is None:
+                points = np.stack(np.unravel_index(flat, shape), axis=1) + lo
+            yield points, flat, [built[j] for j in range(len(fs))]
 
 
 def _evaluate(fs: list[GridFunction], degree: int, lam_max: int, reduce) -> GridFunction:

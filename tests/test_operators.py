@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -333,19 +334,24 @@ def test_domination_reports_first_pruned_row_when_live_rows_are_negative(monkeyp
     m = hl_maximal(f, spec, lam_max)
     s = linear_spherical_maximal(f, spec, lam_max)
     assert all(lhs.value(x) - m.value(x) * max(s.value(x), f.value(x)) < 0.0 for x in live)
-    # one chunk pulls both profiles; 7-row chunks (5-row slabs) push them through the
-    # k-ball; either way the first profile is built for every box row and the second
-    # only for the live ones
+    # one chunk pulls both profiles, the second on the live rows alone; 7-row chunks and 4-pair
+    # slices push them through the k-ball segment by segment (the box rows sharing x_0),
+    # skipping the segment x_0 = 3 that no k-ball reaches, and the second only on live rows
     built = spy_profile_rows(monkeypatch)
-    for rows, path in ((1 << 16, "pull"), (7, "push")):
+    for rows, pairs in ((1 << 16, 1 << 15), (7, 4)):
         monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
+        monkeypatch.setattr(operators, "_SLICE", pairs)
         built.clear()
         rep = domination_check(f, f, spec, lam_max)
         assert rep.max_violation == 0.0
         assert rep.argmax_point == pruned[0]
         assert rep.points_checked == len(box)
-        assert {kind for kind, _ in built} == {path}
-        assert sum(n for _, n in built) == len(box) + len(live)
+        if rows == 1 << 16:
+            assert built == [("pull", None, len(box)), ("pull", None, len(live))]
+        else:
+            assert {how for how, _, _ in built} == {"push"}
+            assert sum(n for _, j, n in built if j == 0) == 5 * len({x[0] for x in live})
+            assert sum(n for _, j, n in built if j == 1) == len(live)
 
 
 def test_outputs_independent_of_chunk_size(monkeypatch):
@@ -371,29 +377,38 @@ def test_outputs_independent_of_chunk_size(monkeypatch):
         assert big == small
 
 
-def spy_profile_rows(monkeypatch) -> list[tuple[str, int]]:
-    """Record ("push" or "pull", rows) for every level profile built."""
-    built: list[tuple[str, int]] = []
-    push, pull = operators._Stencil.push, operators._level_profile
+def spy_profile_rows(monkeypatch) -> list[tuple[str, int | None, int]]:
+    """Record (how, input, rows) for every level profile built: "push" through the k-ball,
+    "gather" of the rows the smallest support reaches, or "pull" (input None) by _level_profile."""
+    built: list[tuple[str, int | None, int]] = []
+    push, walk, pull = operators._Stencil.push, operators._Stencil.walk, operators._level_profile
 
-    def spy_push(self, first, stop, j, rows):
-        got = push(self, first, stop, j, rows)
+    def spy_push(self, j, flat):
+        got = push(self, j, flat)
         if got is not None:
-            built.append(("push", len(rows)))
+            built.append(("push", j, len(flat)))
         return got
 
+    def spy_walk(self, j, rows):
+        for flat, prof in walk(self, j, rows):
+            if prof is not None:
+                built.append(("gather", j, len(flat)))
+            yield flat, prof
+
     def spy_pull(points, *args):
-        built.append(("pull", len(points)))
+        built.append(("pull", None, len(points)))
         return pull(points, *args)
 
     monkeypatch.setattr(operators._Stencil, "push", spy_push)
+    monkeypatch.setattr(operators._Stencil, "walk", spy_walk)
     monkeypatch.setattr(operators, "_level_profile", spy_pull)
     return built
 
 
 def test_push_matches_pull(monkeypatch):
-    # one box-sized chunk pulls every profile; 64-row chunks of 1024 cells and 256-pair
-    # slices push them through the k-ball slab by slab, or pull them where few rows stay live
+    # one box-sized chunk pulls every profile; chunks of 256 cells (25 rows) and 64-pair slices
+    # push them through the k-ball, gather the rows the smallest support reaches in sparse
+    # segments, or pull them where few rows stay live
     rng = random.Random(606)
     spec = SphereSpec(3, 2)
     lam_max = 9
@@ -418,31 +433,40 @@ def test_push_matches_pull(monkeypatch):
         for a, b in ((f, g), (g, f), (far, near), (near, far))
     ]
     built = spy_profile_rows(monkeypatch)
-    sent = []
-    push = operators._Stencil.push
+    sent, left, pushing = [], [], []    # per push (pairs per support block, segments); edges
+    push, pairs = operators._Stencil.push, operators._Stencil.pairs
 
-    def spy_push(self, first, stop, j, rows):   # the pairs each support block sends into the slab
-        count = self.spans(first, stop, j)[1]
-        got = push(self, first, stop, j, rows)
+    def spy_push(self, j, flat):
+        pushing.append(collections.Counter())
+        got = push(self, j, flat)
+        blocks = pushing.pop()
         if got is not None:
-            sent.append((max(count[b : b + 256].sum() for b in range(0, len(count), 256)),
-                         len(count), bool(self.supports[j][2].any())))
+            sent.append((blocks, len(np.unique(flat // self.size))))
         return got
 
+    def spy_pairs(self, j, pts, run):
+        cells = pairs(self, j, pts, run)
+        if pushing:
+            pushing[-1][int(pts[0]) // 256] += len(cells)
+        left.append(bool((cells < 0).any()))
+        return cells
+
     monkeypatch.setattr(operators._Stencil, "push", spy_push)
+    monkeypatch.setattr(operators._Stencil, "pairs", spy_pairs)
     outputs = []
-    for rows, cells, pairs in ((1 << 20, 1 << 24, 1 << 15), (64, 1 << 10, 256)):
+    for rows, cells, slice_pairs in ((1 << 20, 1 << 24, 1 << 15), (64, 1 << 8, 64)):
         monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
         monkeypatch.setattr(operators, "_CHUNK_CELLS", cells)
-        monkeypatch.setattr(operators, "_SLICE", pairs)
+        monkeypatch.setattr(operators, "_SLICE", slice_pairs)
         built.clear()
         outputs.append([repr(c()) if c in calls[-4:] else repr(c().items_sorted()) for c in calls])
         if rows == 1 << 20:
-            assert {kind for kind, _ in built} == {"pull"}
-    assert {kind for kind, _ in built} == {"push", "pull"}
-    assert max(blocks for _, blocks, _ in sent) > 256                  # several blocks pushed
-    assert any(edge for _, _, edge in sent)                             # edge masks applied
-    assert max(pairs for pairs, _, _ in sent) > 1 << 10                 # a block past the cell budget
+            assert {how for how, _, _ in built} == {"pull"}
+    assert {how for how, _, _ in built} == {"push", "gather", "pull"}
+    assert max(max(blocks, default=0) for blocks, _ in sent) > 0       # several blocks pushed
+    assert max(max(blocks.values(), default=0) for blocks, _ in sent) > 1 << 8  # past the cells
+    assert max(segments for _, segments in sent) > 1                   # a push into several segments
+    assert any(left)                                                    # edge masks applied
     for pulled, pushed in zip(*outputs):
         assert pulled == pushed
 
@@ -455,7 +479,26 @@ def test_slabs_out_of_reach_are_skipped(monkeypatch):
     built = spy_profile_rows(monkeypatch)
     out = hl_maximal(f, spec, 12)
     assert out.support_size() == 2 * sum(rep_counts(spec, 12).counts)
-    assert 0 < sum(n for _, n in built) < 10**7
+    assert 0 < sum(n for _, _, n in built) < 10**7
+
+
+def test_spread_support_walks_only_its_reach(monkeypatch):
+    # 30 points spread over [0, 1000]^5, a box of 1007^5 rows, at lam_max = 12: with a budget of
+    # 2^14 cells, 30 points times the 761 prefixes of the k-ball pass one block of runs, and only
+    # the rows of the 30 disjoint k-balls are profiled
+    monkeypatch.setattr(operators, "_CHUNK_CELLS", 1 << 14)
+    rng = random.Random(5)
+    spec = SphereSpec(5, 2)
+    f = GridFunction(5, {tuple(rng.randrange(1001) for _ in range(5)): rng.uniform(0.5, 1.0)
+                         for _ in range(30)})
+    ball = hl_maximal(make_delta(5), spec, 12)
+    built = spy_profile_rows(monkeypatch)
+    out = hl_maximal(f, spec, 12)
+    assert out.support_size() == 30 * ball.support_size()
+    assert sum(n for _, _, n in built) == out.support_size()
+    for s, v in f.items_sorted()[:3]:
+        for u, m in ball.items_sorted():
+            assert out.value(tuple(a + b for a, b in zip(s, u))) == v * m
 
 
 def test_ball_past_support_budget_is_pulled(monkeypatch):
