@@ -472,8 +472,8 @@ def test_push_matches_pull(monkeypatch):
 
 
 def test_slabs_out_of_reach_are_skipped(monkeypatch):
-    # two points 30 apart on every axis of Z^5 make a 37^5-row box (69 M rows); only the slabs
-    # within the k-ball of a point are walked, a few million rows
+    # two points 30 apart on every axis of Z^5 make a 37^5-row box (69 M rows); only the rows
+    # of segments within the k-ball of a point are profiled, a few million
     spec = SphereSpec(5, 2)
     f = GridFunction(5, {(0,) * 5: 1.0, (30,) * 5: 0.5})
     built = spy_profile_rows(monkeypatch)
