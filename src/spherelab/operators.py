@@ -25,9 +25,9 @@ prefix that a k-ball around a point of the smallest support reaches, whole
 where it sends them many pairs, else gathered, only the rows reached.  Each
 profile, smallest support first, is pushed through the k-ball or pulled
 onto the rows still live (see _Stencil), and rows where one is zero are
-dropped.  Supports are summed in fixed blocks, each in support order, added
-in order, and later steps work row by row, so every value's summation order
-depends on the support alone: outputs are byte-identical for any chunking.
+dropped.  Each profile cell is the sum of its pairs in support order from
++0.0, however it is built, and later steps work row by row, so outputs are
+byte-identical for any chunking.
 
 Pointwise domination: for nonnegative inputs and asymptotic normalization,
 
@@ -60,7 +60,6 @@ from .reports import DominationReport
 
 _CHUNK_ROWS = 1 << 13       # rows per grid chunk
 _CHUNK_CELLS = 1 << 18      # cells per chunk (rows x levels): bounds working memory
-_SUPPORT_BLOCK = 256        # support points per scatter: fixes each row's sum order
 _SLICE = 1 << 15            # pairs per scatter slice: its temporaries stay in cache
 
 
@@ -174,9 +173,7 @@ class _Stencil:
         The pairs land in the slab of segments from flat's first to its last.  A slab of more
         than _CHUNK_CELLS rows, or of several segments that need more than _CHUNK_CELLS
         (segment, point) lookups, is pulled; one of more than _CHUNK_CELLS cells is profiled on
-        flat's rows alone.  Each block of _SUPPORT_BLOCK points is summed from +0.0 pair by pair
-        in support order (np.add.at, in slices of about _SLICE pairs), and the blocks are added
-        in order: the sums of _level_profile.
+        flat's rows alone.  np.add.at adds the pairs in support order, in slices of about _SLICE.
         """
         head, _, _, near, vals = self.supports[j]
         r, width = self.radius, self.width
@@ -200,25 +197,17 @@ class _Stencil:
             slot = np.full(n + 1, len(flat))
             slot[flat - first * self.size] = np.arange(len(flat))
             prof = np.zeros((len(flat) + 1) * width)
-        for i, block in enumerate(np.unique(pts // _SUPPORT_BLOCK)):
-            mine = np.flatnonzero(pts // _SUPPORT_BLOCK == block)
-            acc = prof if i == 0 else np.zeros_like(prof)
-            ends = np.cumsum(k[mine])
-            a = 0
-            while a < len(mine):
-                c = int(np.searchsorted(ends, ends[a] - k[mine[a]] + _SLICE, "right"))
-                hits = mine[a : min(max(c, a + 1), len(mine))]
-                cells = self.pairs(j, pts[hits], run[hits])
-                out = cells < 0
-                if stop - first > 1:
-                    cells += np.repeat(seg[hits] * (self.size * width), k[hits])
-                cells[out] = n * width
-                if not full:
-                    cells = slot[cells // width] * width + cells % width
-                np.add.at(acc, cells, np.repeat(vals[pts[hits]], k[hits]))
-                a += len(hits)
-            if acc is not prof:
-                prof += acc
+        before = np.cumsum(k) - k
+        cuts = [*np.flatnonzero(np.diff(before // _SLICE, prepend=-1)).tolist(), len(pts)]
+        for a, b in zip(cuts, cuts[1:]):
+            cells = self.pairs(j, pts[a:b], run[a:b])
+            out = cells < 0
+            if stop - first > 1:
+                cells += np.repeat(seg[a:b] * (self.size * width), k[a:b])
+            cells[out] = n * width
+            if not full:
+                cells = slot[cells // width] * width + cells % width
+            np.add.at(prof, cells, np.repeat(vals[pts[a:b]], k[a:b]))
         prof = prof.reshape(-1, width)
         if full:
             return prof[flat - first * self.size]
@@ -228,9 +217,9 @@ class _Stencil:
         """Yield (flat rows, profile of input j on them or None), in order, over the segments that
         input j reaches.  A segment it sends more than _SLICE // 2 pairs comes alone, unprofiled.
         The others are gathered in units of fewer than _SLICE pairs and profiled on the rows
-        reached, `rows` at a time, block by block in support order as in push.  j's runs into
-        the box are found in blocks of _CHUNK_CELLS; past DEFAULT_SUPPORT_BUDGET of them, every
-        segment comes alone."""
+        reached, `rows` at a time, by one bincount in support order.  j's runs into the box are
+        found in blocks of _CHUNK_CELLS; past DEFAULT_SUPPORT_BUDGET of them, every segment comes
+        alone."""
         head, _, _, _, vals = self.supports[j]
         dims, width = self.shape[: self.axis], self.width
         if len(vals) * len(self.key) > DEFAULT_SUPPORT_BUDGET:
@@ -260,30 +249,25 @@ class _Stencil:
             flat, slot = np.unique(reached, return_inverse=True)
             for c in range(0, len(flat), rows):
                 part = slot // rows == c // rows
-                prof = np.zeros(len(flat[c : c + rows]) * width)
-                for block in np.unique(p[part] // _SUPPORT_BLOCK):
-                    mine = part & (p // _SUPPORT_BLOCK == block)
-                    cell = (slot[mine] - c) * width + level[mine]
-                    prof += np.bincount(cell, vals[p[mine]], minlength=len(prof))
+                cell = (slot[part] - c) * width + level[part]
+                prof = np.bincount(cell, vals[p[part]], minlength=len(flat[c : c + rows]) * width)
                 yield flat[c : c + rows], prof.reshape(-1, width)
 
 
 def _level_profile(points: np.ndarray, sup_pts: np.ndarray, sup_vals: np.ndarray, degree: int,
                    lam_max: int) -> np.ndarray:
-    """Profile A(i, nu) = sum over the support of f(s) at level nu = |x_i - s|^k, pulled: each
-    block of _SUPPORT_BLOCK points scatters the rows, in slices of at most _SLICE (row, point)
-    pairs, through one weighted bincount, and the block sums are added in support order."""
+    """Profile A(i, nu) = sum over the support of f(s) at level nu = |x_i - s|^k, pulled: the
+    (row, point) pairs are taken in slices of about _SLICE and added by np.add.at."""
     n, width = len(points), lam_max + 1
-    prof = np.zeros((n, width), dtype=np.float64)
-    block = min(_SUPPORT_BLOCK, len(sup_vals))
+    prof = np.zeros(n * width)
+    block = min(_SLICE, len(sup_vals))
     step = max(1, _SLICE // block)
     lev_buf = np.empty((min(n, step), block), dtype=np.int64)
     tmp_buf = np.empty_like(lev_buf)
     for r in range(0, n, step):
         pts = points[r : r + step]
         rows = len(pts)
-        row_base = np.arange(rows, dtype=np.int64)[:, None] * width
-        out = prof[r : r + step].reshape(-1)
+        row_base = np.arange(r, r + rows, dtype=np.int64)[:, None] * width
         for s in range(0, len(sup_vals), block):
             sup = sup_pts[s : s + block]          # (B, d)
             vals = sup_vals[s : s + block]        # (B,)
@@ -299,9 +283,8 @@ def _level_profile(points: np.ndarray, sup_pts: np.ndarray, sup_vals: np.ndarray
                     lev += tmp
             mask = lev <= lam_max
             idx = np.add(lev, row_base, out=tmp)[mask]
-            weights = np.broadcast_to(vals[None, :], mask.shape)[mask]
-            out += np.bincount(idx, weights=weights, minlength=rows * width)
-    return prof
+            np.add.at(prof, idx, np.broadcast_to(vals[None, :], mask.shape)[mask])
+    return prof.reshape(n, width)
 
 
 def _level_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

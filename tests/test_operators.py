@@ -355,8 +355,8 @@ def test_domination_reports_first_pruned_row_when_live_rows_are_negative(monkeyp
 
 
 def test_outputs_independent_of_chunk_size(monkeypatch):
-    # a 600-point support with non-integer values is scattered in several
-    # blocks, so its sums only match if the block split ignores the chunking
+    # a 600-point support with non-integer values: its sums only match if every
+    # cell adds its pairs in the same order at any chunking
     rng = random.Random(4242)
     spec = SphereSpec(3, 2)
     f = random_function(rng, 3, size=600, span=6, nonnegative=True)
@@ -375,6 +375,33 @@ def test_outputs_independent_of_chunk_size(monkeypatch):
         ])
     for big, small in zip(*outputs):
         assert big == small
+
+
+def test_profile_cells_are_sequential_sums_in_support_order(monkeypatch):
+    # a linear average is one profile level over N(lam): every output must be the plain
+    # left-to-right sum of f(s) over its sphere in support order from 0.0, divided by N(lam),
+    # whether the profile is pulled (one chunk) or pushed and gathered (16-row chunks of 2^9
+    # cells, 64-pair slices); the signed 523-point support makes other orders show in the bits
+    rng = random.Random(1212)
+    spec, lam = SphereSpec(3, 2), 9
+    f = random_function(rng, 3, size=523, span=6)
+    sums: dict[tuple[int, ...], float] = {}
+    for s, v in f.items_sorted():
+        for u in brute_shell(3, 2, lam):
+            x = tuple(a + b for a, b in zip(s, u))
+            sums[x] = sums.get(x, 0.0) + v
+    norm = float(rep_counts(spec, lam).count(lam))
+    want = {x: total / norm for x, total in sums.items() if total != 0.0}
+    cfg = OperatorConfig(spec, 1, lam, Normalization.EXACT)
+    built = spy_profile_rows(monkeypatch)
+    for rows, cells, slice_pairs in ((operators._CHUNK_ROWS, operators._CHUNK_CELLS,
+                                      operators._SLICE), (16, 1 << 9, 64)):
+        monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
+        monkeypatch.setattr(operators, "_CHUNK_CELLS", cells)
+        monkeypatch.setattr(operators, "_SLICE", slice_pairs)
+        got = multilinear_average([f], lam, cfg)
+        assert repr(got.items_sorted()) == repr(sorted(want.items()))
+    assert {how for how, _, _ in built} == {"push", "gather", "pull"}
 
 
 def spy_profile_rows(monkeypatch) -> list[tuple[str, int | None, int]]:
@@ -412,7 +439,7 @@ def test_push_matches_pull(monkeypatch):
     rng = random.Random(606)
     spec = SphereSpec(3, 2)
     lam_max = 9
-    f = random_function(rng, 3, size=300, span=6)                  # signed, two support blocks
+    f = random_function(rng, 3, size=300, span=6)                  # signed, past 256 points
     g = random_function(rng, 3, size=40, span=3)                   # f's s + B leaves their common box
     far = GridFunction(3, {(0, 0, 0): 0.5, (20, 3, 1): -1.25, (4, 20, 7): 0.75, (12, 9, 20): 1.5})
     near = GridFunction(3, {**far.values, (5, 5, 5): -0.25, (15, 2, 18): 2.0})
@@ -433,7 +460,7 @@ def test_push_matches_pull(monkeypatch):
         for a, b in ((f, g), (g, f), (far, near), (near, far))
     ]
     built = spy_profile_rows(monkeypatch)
-    sent, left, pushing = [], [], []    # per push (pairs per support block, segments); edges
+    sent, left, pushing = [], [], []    # per push (pairs by 256-point range, segments); edges
     push, pairs = operators._Stencil.push, operators._Stencil.pairs
 
     def spy_push(self, j, flat):
@@ -463,7 +490,7 @@ def test_push_matches_pull(monkeypatch):
         if rows == 1 << 20:
             assert {how for how, _, _ in built} == {"pull"}
     assert {how for how, _, _ in built} == {"push", "gather", "pull"}
-    assert max(max(blocks, default=0) for blocks, _ in sent) > 0       # several blocks pushed
+    assert max(max(blocks, default=0) for blocks, _ in sent) > 0       # past the 256th point
     assert max(max(blocks.values(), default=0) for blocks, _ in sent) > 1 << 8  # past the cells
     assert max(segments for _, segments in sent) > 1                   # a push into several segments
     assert any(left)                                                    # edge masks applied
