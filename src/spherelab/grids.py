@@ -20,6 +20,7 @@ import numpy as np
 from .errors import BudgetError, ParameterError
 
 DEFAULT_SUPPORT_BUDGET = 10**7
+_COORD_LIMIT = 1 << 62      # coordinates and their differences stay within int64
 
 Point = tuple[int, ...]
 
@@ -36,7 +37,7 @@ class GridFunction:
             raise BudgetError(f"support of {len(values)} points exceeds budget {DEFAULT_SUPPORT_BUDGET}")
         clean: dict[Point, float] = {}
         for p, v in values.items():
-            pt = tuple(int(c) for c in p)
+            pt = tuple(map(int, p))
             if len(pt) != dim:
                 raise ParameterError(f"point {p!r} does not have dimension {dim}")
             fv = float(v)
@@ -46,12 +47,13 @@ class GridFunction:
                 clean[pt] = fv
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_values", clean)
+        bbox = None
         if clean:
-            lo = tuple(min(p[i] for p in clean) for i in range(dim))
-            hi = tuple(max(p[i] for p in clean) for i in range(dim))
-            object.__setattr__(self, "bbox", (lo, hi))
-        else:
-            object.__setattr__(self, "bbox", None)
+            bbox = tuple(map(min, zip(*clean))), tuple(map(max, zip(*clean)))
+            far = max(-min(bbox[0]), max(bbox[1]))
+            if far >= _COORD_LIMIT:
+                raise ParameterError(f"a coordinate of magnitude {far} is not below 2^62")
+        object.__setattr__(self, "bbox", bbox)
 
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")

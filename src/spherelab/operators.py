@@ -257,11 +257,16 @@ class _Stencil:
 def _level_profile(points: np.ndarray, sup_pts: np.ndarray, sup_vals: np.ndarray, degree: int,
                    lam_max: int) -> np.ndarray:
     """Profile A(i, nu) = sum over the support of f(s) at level nu = |x_i - s|^k, pulled: the
-    (row, point) pairs are taken in slices of about _SLICE and added by np.add.at."""
+    (row, point) pairs are taken in slices of about _SLICE and added by np.add.at.  Where a power
+    could pass int64, each |x_i - s_i| is first capped at floor(lam_max^(1/k)) + 1, out of reach."""
     n, width = len(points), lam_max + 1
     prof = np.zeros(n * width)
     block = min(_SLICE, len(sup_vals))
     step = max(1, _SLICE // block)
+    lo = np.minimum(points.min(axis=0), sup_pts.min(axis=0)).tolist()
+    hi = np.maximum(points.max(axis=0), sup_pts.max(axis=0)).tolist()
+    wide = len(lo) * max(b - a for a, b in zip(lo, hi)) ** degree >= 1 << 63
+    cap = kth_root_floor(lam_max, degree) + 1
     lev_buf = np.empty((min(n, step), block), dtype=np.int64)
     tmp_buf = np.empty_like(lev_buf)
     for r in range(0, n, step):
@@ -275,6 +280,8 @@ def _level_profile(points: np.ndarray, sup_pts: np.ndarray, sup_vals: np.ndarray
             for axis in range(points.shape[1]):
                 term = tmp if axis else lev
                 np.subtract(pts[:, axis, None], sup[None, :, axis], out=term)
+                if wide:    # a difference that wrapped is as far out of reach as its true value
+                    np.clip(term, -cap, cap, out=term)
                 if degree == 2:
                     np.multiply(term, term, out=term)
                 else:

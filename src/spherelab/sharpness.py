@@ -131,10 +131,14 @@ def witness_values(points: np.ndarray, spec: WitnessSpec, *, exact: bool = False
     exact=True divides candidate counts by the true joint count N(lam)
     instead of lam^(l*d/k - 1), which needs the joint table up to the largest
     candidate level; decay fits and norm scans use the asymptotic form.
-    BudgetError is raised before allocating when (2L+1)^d > DEFAULT_SUPPORT_BUDGET
-    or an exact table would pass _EXACT_LEVEL_BUDGET.
+    BudgetError is raised before allocating when (2L+1)^d > DEFAULT_SUPPORT_BUDGET,
+    when the largest level reaches 2^62 (levels are int64) or an exact table would
+    pass _EXACT_LEVEL_BUDGET; ParameterError when a coordinate is outside int64.
     """
-    pts = np.asarray(points, dtype=np.int64)
+    try:
+        pts = np.asarray(points, dtype=np.int64)
+    except OverflowError:
+        raise ParameterError("witness points must have int64 coordinates") from None
     if pts.ndim != 2 or pts.shape[1] != spec.dim:
         raise ParameterError(f"points must be an (N, {spec.dim}) integer array")
     L, k = spec.box_radius, spec.degree
@@ -144,10 +148,12 @@ def witness_values(points: np.ndarray, spec: WitnessSpec, *, exact: bool = False
     n = len(pts)
     if n == 0:
         return np.zeros(0)
+    absf = np.abs(pts.astype(np.float64))   # the largest level takes w_i = -sign(x_i) * L
+    top = ((spec.linearity - 1) * absf**k + (absf + L) ** k).sum(axis=1).max()
+    if top >= 2.0**62:
+        raise BudgetError(f"witness level {top:.4g} >= 2^62: levels would overflow int64")
     base = (spec.linearity - 1) * (np.abs(pts) ** k).sum(axis=1)
-    if exact:  # the largest level takes w_i = -sign(x_i) * L; floats cannot wrap
-        absf = np.abs(pts).astype(np.float64)
-        top = ((spec.linearity - 1) * absf**k + (absf + L) ** k).sum(axis=1).max()
+    if exact:
         if top > _EXACT_LEVEL_BUDGET:
             raise BudgetError(f"exact witness needs level {top:.0f} > {_EXACT_LEVEL_BUDGET}")
         table = DEFAULT_CACHE.table(SphereSpec(spec.dim * spec.linearity, k), int(top))
@@ -189,10 +195,10 @@ def witness_value(x, spec: WitnessSpec, *, exact: bool = False) -> float:
     Asymptotic normalization by default; exact=True is the comparison mode
     dividing by true joint counts (see witness_values).
     """
-    pt = np.array([tuple(int(c) for c in x)], dtype=np.int64)
-    if pt.shape[1] != spec.dim:
+    pt = tuple(int(c) for c in x)
+    if len(pt) != spec.dim:
         raise ParameterError(f"point {x!r} does not have dimension {spec.dim}")
-    return float(witness_values(pt, spec, exact=exact)[0])
+    return float(witness_values([pt], spec, exact=exact)[0])
 
 
 def decay_fit(
@@ -219,6 +225,8 @@ def decay_fit(
         raise AnalysisError("degenerate t_range: a single sample point cannot be fitted")
     if t_hi < 10 * t_lo:
         raise ParameterError(f"t_range {t_range!r} spans less than one decade")
+    if t_hi * max(map(abs, direction)) >= 1 << 63:
+        raise ParameterError(f"t_max {t_hi} times direction {direction} leaves int64")
     ts = sorted(
         {
             int(round(t_lo * (t_hi / t_lo) ** (i / (num_samples - 1))))

@@ -259,6 +259,28 @@ def test_exit_code_witness_budget(extra, capsys):
     assert "error (budget)" in err
 
 
+@pytest.mark.parametrize("argv, want", [
+    # witness levels past 2^62 would wrap int64: the first two printed 0.0, not about 5.6e-20
+    # and 2.6e-7, and the decay fit found its values vanished
+    (["witness", "--dim", "2", "--point", "3000000000,0"], 3),
+    (["witness", "--dim", "2", "--degree", "3", "--point", "3000000,0"], 3),
+    (["decay", "--dim", "2", "--direction", "1000000000,1"], 3),
+    # coordinates outside int64, and a function file with |x_i| >= 2^62
+    (["witness", "--dim", "2", "--point", "99999999999999999999,1"], 2),
+    (["decay", "--dim", "2", "--direction", "10000000000000000,1"], 2),
+    (["hlmax", "--dim", "2", "--lambda-max", "4", "--fn", "file:{far}"], 2),
+], ids=["witness-level", "witness-level-degree-3", "decay-level", "witness-coordinate",
+        "decay-coordinate", "hlmax-coordinate"])
+def test_exit_code_coordinates_past_int64(argv, want, tmp_path, capsys):
+    far = tmp_path / "far.txt"
+    far.write_text("2\n0 0 1.0\n99999999999999999999 1 1.0\n")
+    code, out, err = run_cli([a.format(far=far) for a in argv], capsys)
+    assert code == want
+    assert out == ""
+    assert len(err.splitlines()) == 2      # the config echo and a one-line error
+    assert err.splitlines()[1].startswith("error (budget)" if want == 3 else "error (parameters)")
+
+
 @pytest.mark.parametrize("fn_text", [None, "1\n0.5 1.0\n", "1\n0 nan\n", "1\n0 -inf\n"])
 def test_exit_code_bad_function_input(fn_text, tmp_path, capsys):
     # a malformed box spec, a non-integer coordinate, non-finite values

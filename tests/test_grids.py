@@ -59,6 +59,16 @@ def test_zero_values_dropped_and_bbox_tight():
     assert z.support_size() == 0 and z.bbox is None
 
 
+def test_coordinates_must_stay_below_2_62():
+    # |x_i| < 2^62 keeps every coordinate difference inside int64
+    edge = (1 << 62) - 1
+    f = GridFunction(2, {(edge, 0): 1.0, (0, -edge): 2.0, (1 << 70, 0): 0.0})
+    assert f.bbox == ((0, -edge), (edge, 0))
+    for far in ((1 << 62, 0), (0, -(1 << 62)), (10**20, 1)):
+        with pytest.raises(ParameterError):
+            GridFunction(2, {(0, 0): 1.0, far: 1.0})
+
+
 def test_immutability():
     f = make_delta(2)
     with pytest.raises(AttributeError):

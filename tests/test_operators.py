@@ -404,6 +404,17 @@ def test_profile_cells_are_sequential_sums_in_support_order(monkeypatch):
     assert {how for how, _, _ in built} == {"push", "gather", "pull"}
 
 
+@pytest.mark.parametrize("far", [1 << 31, 1 << 32, 3 << 31])
+def test_far_apart_supports_do_not_wrap_levels(far):
+    # the common box runs from 0 to far, so the pull pairs rows near one end with support points
+    # at the other: (x - s)^2 passes int64 from far = 2^32 on unless each difference is capped
+    spec = SphereSpec(1, 2)
+    f = GridFunction(1, {(0,): 1.0, (far,): 1.0})
+    g = GridFunction(1, {(0,): 1.0, (1,): 0.5, (far,): 1.0})
+    out = multilinear_maximal([f, g], OperatorConfig(spec, 2, 4, Normalization.ASYMPTOTIC))
+    assert dict(out.values) == {(-1,): 1.0, (0,): 0.5, (1,): 1.0, (far - 1,): 1.0, (far + 1,): 1.0}
+
+
 def spy_profile_rows(monkeypatch) -> list[tuple[str, int | None, int]]:
     """Record (how, input, rows) for every level profile built: "push" through the k-ball,
     "gather" of the rows the smallest support reaches, or "pull" (input None) by _level_profile."""
