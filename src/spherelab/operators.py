@@ -255,18 +255,14 @@ class _Stencil:
 
 
 def _level_profile(points: np.ndarray, sup_pts: np.ndarray, sup_vals: np.ndarray, degree: int,
-                   lam_max: int) -> np.ndarray:
+                   lam_max: int, cap: int | None) -> np.ndarray:
     """Profile A(i, nu) = sum over the support of f(s) at level nu = |x_i - s|^k, pulled: the
-    (row, point) pairs are taken in slices of about _SLICE and added by np.add.at.  Where a power
-    could pass int64, each |x_i - s_i| is first capped at floor(lam_max^(1/k)) + 1, out of reach."""
+    (row, point) pairs are taken in slices of about _SLICE and added by np.add.at.  Unless cap is
+    None, each x_i - s_i is first clipped to [-cap, cap], cap past the k-ball's radius."""
     n, width = len(points), lam_max + 1
     prof = np.zeros(n * width)
     block = min(_SLICE, len(sup_vals))
     step = max(1, _SLICE // block)
-    lo = np.minimum(points.min(axis=0), sup_pts.min(axis=0)).tolist()
-    hi = np.maximum(points.max(axis=0), sup_pts.max(axis=0)).tolist()
-    wide = len(lo) * max(b - a for a, b in zip(lo, hi)) ** degree >= 1 << 63
-    cap = kth_root_floor(lam_max, degree) + 1
     lev_buf = np.empty((min(n, step), block), dtype=np.int64)
     tmp_buf = np.empty_like(lev_buf)
     for r in range(0, n, step):
@@ -280,7 +276,7 @@ def _level_profile(points: np.ndarray, sup_pts: np.ndarray, sup_vals: np.ndarray
             for axis in range(points.shape[1]):
                 term = tmp if axis else lev
                 np.subtract(pts[:, axis, None], sup[None, :, axis], out=term)
-                if wide:    # a difference that wrapped is as far out of reach as its true value
+                if cap is not None:     # a wrapped difference is as far out of reach as the true one
                     np.clip(term, -cap, cap, out=term)
                 if degree == 2:
                     np.multiply(term, term, out=term)
@@ -333,7 +329,8 @@ def _live_profiles(fs: list[GridFunction], degree: int, lam_max: int):
     Profiles are built smallest support first, shrinking the live set as
     empty rows appear, so large supports are only scattered where needed.
     A box of one chunk, a k-ball past the support budget, or a run key past
-    int64 builds no stencil: every profile is pulled.
+    int64 builds no stencil: every profile is pulled.  A pull caps each
+    coordinate difference where a k-th power of it could pass int64.
     """
     radius = kth_root_floor(lam_max, degree)
     box = _common_grid_box(fs, radius)
@@ -348,6 +345,8 @@ def _live_profiles(fs: list[GridFunction], degree: int, lam_max: int):
             f"one row of {lam_max + 1} levels exceeds the chunk budget of {_CHUNK_CELLS} cells"
         )
     supports = [f.arrays() for f in fs]
+    spans = [max(b - a for a, b in zip(*f.bbox)) + radius for f in fs]    # >= every |x_i - s_i|
+    caps = [radius + 1 if len(shape) * s**degree >= 1 << 63 else None for s in spans]
     order = sorted(range(len(fs)), key=lambda j: len(supports[j][1]))
     axis = next(a for a in range(len(shape) + 1) if math.prod(shape[a:]) <= rows)
     stencil = None
@@ -372,7 +371,7 @@ def _live_profiles(fs: list[GridFunction], degree: int, lam_max: int):
             if prof is None:
                 if points is None:
                     points = np.stack(np.unravel_index(flat, shape), axis=1) + lo
-                prof = _level_profile(points, *supports[j], degree, lam_max)
+                prof = _level_profile(points, *supports[j], degree, lam_max, caps[j])
             keep = prof.any(axis=1)
             if not keep.all():
                 flat, prof = flat[keep], prof[keep]

@@ -148,10 +148,12 @@ def witness_values(points: np.ndarray, spec: WitnessSpec, *, exact: bool = False
     n = len(pts)
     if n == 0:
         return np.zeros(0)
-    absf = np.abs(pts.astype(np.float64))   # the largest level takes w_i = -sign(x_i) * L
-    top = ((spec.linearity - 1) * absf**k + (absf + L) ** k).sum(axis=1).max()
-    if top >= 2.0**62:
-        raise BudgetError(f"witness level {top:.4g} >= 2^62: levels would overflow int64")
+    big = max(-int(pts.min()), int(pts.max()))     # d * ((l-1) big^k + (big+L)^k) >= each level
+    if exact or spec.dim * ((spec.linearity - 1) * big**k + (big + L) ** k) >= 1 << 62:
+        absf = np.abs(pts.astype(np.float64))   # the top level takes w_i = -sign(x_i) * L
+        top = ((spec.linearity - 1) * absf**k + (absf + L) ** k).sum(axis=1).max()
+        if top >= 2.0**62:
+            raise BudgetError(f"witness level {top:.4g} >= 2^62: levels would overflow int64")
     base = (spec.linearity - 1) * (np.abs(pts) ** k).sum(axis=1)
     if exact:
         if top > _EXACT_LEVEL_BUDGET:
