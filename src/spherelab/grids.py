@@ -26,7 +26,8 @@ Point = tuple[int, ...]
 
 
 class GridFunction:
-    """Immutable finitely supported function on Z^d; non-finite values are rejected."""
+    """Immutable finitely supported function on Z^d; non-finite values and coordinates of
+    magnitude 2^62 or more are rejected."""
 
     __slots__ = ("dim", "_values", "bbox")
 
