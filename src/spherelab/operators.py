@@ -276,7 +276,7 @@ def _level_profile(points: np.ndarray, sup_pts: np.ndarray, sup_vals: np.ndarray
             for axis in range(points.shape[1]):
                 term = tmp if axis else lev
                 np.subtract(pts[:, axis, None], sup[None, :, axis], out=term)
-                if cap is not None:     # a wrapped difference is as far out of reach as the true one
+                if cap is not None:     # a difference that wrapped is clipped out of reach too
                     np.clip(term, -cap, cap, out=term)
                 if degree == 2:
                     np.multiply(term, term, out=term)
