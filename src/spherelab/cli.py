@@ -147,9 +147,9 @@ def _echo_config(args: argparse.Namespace, threads: int) -> None:
     sys.stderr.write(json.dumps(cfg, sort_keys=True, default=str) + "\n")
 
 
-def _grid_text(f: GridFunction) -> str:
+def _text(write, obj) -> str:
     buf = io.StringIO()
-    write_grid_text(f, buf)
+    write(obj, buf)
     return buf.getvalue()
 
 
@@ -159,17 +159,13 @@ def _grid_text(f: GridFunction) -> str:
 
 def _cmd_count(args) -> int:
     table = rep_counts(SphereSpec(args.dim, args.degree), args.lambda_max)
-    buf = io.StringIO()
-    write_counts_csv(table, buf)
-    _emit(buf.getvalue(), args.out)
+    _emit(_text(write_counts_csv, table), args.out)
     return 0
 
 
 def _cmd_shell(args) -> int:
     shell = enumerate_shell(SphereSpec(args.dim, args.degree), getattr(args, "lambda"))
-    buf = io.StringIO()
-    write_shell_csv(shell, buf)
-    _emit(buf.getvalue(), args.out)
+    _emit(_text(write_shell_csv, shell), args.out)
     return 0
 
 
@@ -187,7 +183,7 @@ def _cmd_avg(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         result = multilinear_average(_operator_inputs(args), getattr(args, "lambda"), cfg)
-    _emit(_grid_text(result), args.out)
+    _emit(_text(write_grid_text, result), args.out)
     return 0
 
 
@@ -196,14 +192,14 @@ def _cmd_maxop(args) -> int:
     cfg = OperatorConfig(spec, args.linearity, args.lambda_max,
                          Normalization(args.normalization), args.lambda_min)
     result = multilinear_maximal(_operator_inputs(args), cfg)
-    _emit(_grid_text(result), args.out)
+    _emit(_text(write_grid_text, result), args.out)
     return 0
 
 
 def _cmd_linear_max(operator, args) -> int:
     spec = SphereSpec(args.dim, args.degree)
     result = operator(_load_function(args.fn, args.dim), spec, args.lambda_max)
-    _emit(_grid_text(result), args.out)
+    _emit(_text(write_grid_text, result), args.out)
     return 0
 
 

@@ -12,7 +12,9 @@ sorted order, so every accumulation over a support has a fixed order.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from types import MappingProxyType
 
 import numpy as np
@@ -25,9 +27,18 @@ _COORD_LIMIT = 1 << 62      # coordinates and their differences stay within int6
 Point = tuple[int, ...]
 
 
+def _as_point(p) -> Point:
+    """p as a tuple of ints: int, bool and numpy integer coordinates pass, a float or str raises
+    ParameterError instead of being truncated."""
+    try:
+        return tuple(map(operator.index, p))
+    except TypeError:
+        raise ParameterError(f"point {p!r} does not have integer coordinates") from None
+
+
 class GridFunction:
-    """Immutable finitely supported function on Z^d; non-finite values and coordinates of
-    magnitude 2^62 or more are rejected."""
+    """Immutable finitely supported function on Z^d; non-finite values, non-integer coordinates
+    and coordinates of magnitude 2^62 or more are rejected."""
 
     __slots__ = ("dim", "_values", "bbox")
 
@@ -38,7 +49,7 @@ class GridFunction:
             raise BudgetError(f"support of {len(values)} points exceeds budget {DEFAULT_SUPPORT_BUDGET}")
         clean: dict[Point, float] = {}
         for p, v in values.items():
-            pt = tuple(map(int, p))
+            pt = _as_point(p)
             if len(pt) != dim:
                 raise ParameterError(f"point {p!r} does not have dimension {dim}")
             fv = float(v)
@@ -64,7 +75,7 @@ class GridFunction:
         return MappingProxyType(self._values)
 
     def value(self, point) -> float:
-        return self._values.get(tuple(int(c) for c in point), 0.0)
+        return self._values.get(_as_point(point), 0.0)
 
     def support_size(self) -> int:
         return len(self._values)
@@ -105,12 +116,8 @@ def make_box_indicator(dim: int, radius: int) -> GridFunction:
     side = 2 * radius + 1
     if side**dim > DEFAULT_SUPPORT_BUDGET:
         raise BudgetError(f"box has {side**dim} points, budget is {DEFAULT_SUPPORT_BUDGET}")
-    pts = np.stack(
-        np.meshgrid(*([np.arange(-radius, radius + 1)] * dim), indexing="ij"),
-        axis=-1,
-    ).reshape(-1, dim)
-    vals = {tuple(int(c) for c in row): 1.0 for row in pts}
-    return GridFunction(dim, vals)
+    pts = itertools.product(range(-radius, radius + 1), repeat=dim)
+    return GridFunction(dim, dict.fromkeys(pts, 1.0))
 
 
 def write_grid_text(f: GridFunction, stream) -> None:

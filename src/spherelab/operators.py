@@ -19,14 +19,14 @@ f_j(x - u),  nu = 0..Lam.  The left fold of pairwise level convolutions
 gives T_lam(x) = P(x, lam) / norm(lam).  One engine, _live_profiles, builds
 the profiles for every operator, and each operator is a reduction of them.
 Its rows lie in the common box (the dilations by floor(Lam^(1/k)) of the
-supports' bounding boxes, intersected) and are walked in lexicographic
-order, at most a chunk at a time: the segments of rows sharing a coordinate
-prefix that a k-ball around a point of the smallest support reaches, whole
-where it sends them many pairs, else gathered, only the rows reached.  Each
-profile, smallest support first, is pushed through the k-ball or pulled
-onto the rows still live (see _Stencil), and rows where one is zero are
-dropped.  Each profile cell is the sum of its pairs in support order from
-+0.0, however it is built, and later steps work row by row, so outputs are
+supports' bounding boxes, intersected), walked in lexicographic order at
+most a chunk at a time: by _Stencil.walk, only the segments (rows sharing a
+coordinate prefix) that a k-ball around a point of the smallest support
+reaches, or by _live_profiles, the whole box a segment or a chunk a step.
+Each profile, smallest support first, is pushed through the k-ball or
+pulled onto the rows still live, and rows where one is zero are dropped.
+Each profile cell is the sum of its pairs in support order from +0.0,
+however it is built, and later steps work row by row, so outputs are
 byte-identical for any chunking.
 
 Pointwise domination: for nonnegative inputs and asymptotic normalization,
@@ -215,17 +215,12 @@ class _Stencil:
 
     def walk(self, j: int, rows: int):
         """Yield (flat rows, profile of input j on them or None), in order, over the segments that
-        input j reaches.  A segment it sends more than _SLICE // 2 pairs comes alone, unprofiled.
-        The others are gathered in units of fewer than _SLICE pairs and profiled on the rows
-        reached, `rows` at a time, by one bincount in support order.  j's runs into the box are
-        found in blocks of _CHUNK_CELLS; past DEFAULT_SUPPORT_BUDGET of them, every segment comes
-        alone."""
+        input j reaches (_live_profiles decides when).  A segment it sends more than _SLICE // 2
+        pairs comes alone, unprofiled.  The others are gathered in units of fewer than _SLICE pairs
+        and profiled on the rows reached, `rows` at a time, by one bincount in support order.  j's
+        runs into the box are found in blocks of _CHUNK_CELLS."""
         head, _, _, _, vals = self.supports[j]
         dims, width = self.shape[: self.axis], self.width
-        if len(vals) * len(self.key) > DEFAULT_SUPPORT_BUDGET:
-            for at in range(0, math.prod(self.shape), self.size):
-                yield np.arange(at, at + self.size), None
-            return
         step, parts = max(1, _CHUNK_CELLS // len(self.key)), []
         for a in range(0, len(vals), step):
             seg = head[:, a : a + step, None] + self.prefix[:, None, :]
@@ -327,7 +322,11 @@ def _live_profiles(fs: list[GridFunction], degree: int, lam_max: int):
     their coordinates, flat their indices in the box (row-major), and
     profiles[j] the levels 0..lam_max of fs[j].
     Profiles are built smallest support first, shrinking the live set as
-    empty rows appear, so large supports are only scattered where needed.
+    empty rows appear.  Only this function chooses the rows walked: the
+    stencil's walk of the smallest support's reach when a stencil exists and
+    that support has at most DEFAULT_SUPPORT_BUDGET (point, run) pairs, else
+    one box walk, a segment (or without a stencil a chunk) a step, refused
+    with BudgetError before its first step past DEFAULT_SUPPORT_BUDGET steps.
     A box of one chunk, a k-ball past the support budget, or a run key past
     int64 builds no stencil: every profile is pulled.  A pull caps each
     coordinate difference where a k-th power of it could pass int64.
@@ -354,20 +353,21 @@ def _live_profiles(fs: list[GridFunction], degree: int, lam_max: int):
         ball = DEFAULT_CACHE.table(SphereSpec(len(shape), degree), lam_max).counts[: lam_max + 1]
         if sum(ball) <= min(total, DEFAULT_SUPPORT_BUDGET):
             stencil = _Stencil(lo, shape, axis, degree, lam_max, supports)
-    if stencil is None:
-        units = ((np.arange(a, min(a + rows, total)), None) for a in range(0, total, rows))
+    if stencil is None or len(supports[order[0]][1]) * len(stencil.key) > DEFAULT_SUPPORT_BUDGET:
+        step = rows if stencil is None else stencil.size     # rows per step of the box walk
+        if total > step * DEFAULT_SUPPORT_BUDGET:
+            raise BudgetError(f"a box walk of {-(-total // step)} steps exceeds the budget of "
+                              f"{DEFAULT_SUPPORT_BUDGET}")
+        units = ((np.arange(a, min(a + step, total)), None) for a in range(0, total, step))
     else:
         units = stencil.walk(order[0], rows)
     for flat, smallest in units:
         points = None       # the coordinates of flat, once a pull needs them
         built: dict[int, np.ndarray] = {}
         for j in order:
-            if j == order[0] and smallest is not None:
-                prof = smallest
-            elif stencil is not None:
+            prof = smallest if j == order[0] else None
+            if prof is None and stencil is not None:
                 prof = stencil.push(j, flat)
-            else:
-                prof = None
             if prof is None:
                 if points is None:
                     points = np.stack(np.unravel_index(flat, shape), axis=1) + lo

@@ -43,7 +43,7 @@ import numpy as np
 
 from .counts import DEFAULT_CACHE, SphereSpec, _ball_offsets
 from .errors import AnalysisError, BudgetError, ParameterError
-from .grids import DEFAULT_SUPPORT_BUDGET
+from .grids import DEFAULT_SUPPORT_BUDGET, _as_point
 from .reports import ExponentReport, RegionVerdict, ScanReport
 
 _EXACT_REGION_BUDGET = 200_000
@@ -133,12 +133,12 @@ def witness_values(points: np.ndarray, spec: WitnessSpec, *, exact: bool = False
     candidate level; decay fits and norm scans use the asymptotic form.
     BudgetError is raised before allocating when (2L+1)^d > DEFAULT_SUPPORT_BUDGET,
     when the largest level reaches 2^62 (levels are int64) or an exact table would
-    pass _EXACT_LEVEL_BUDGET; ParameterError when a coordinate is outside int64.
+    pass _EXACT_LEVEL_BUDGET; ParameterError when a coordinate is not an int64 integer.
     """
-    try:
-        pts = np.asarray(points, dtype=np.int64)
-    except OverflowError:
-        raise ParameterError("witness points must have int64 coordinates") from None
+    try:        # a float, str or past-int64 coordinate is not cast safely
+        pts = np.asarray(points).astype(np.int64, casting="safe", copy=False)
+    except TypeError:
+        raise ParameterError("witness points must have int64 integer coordinates") from None
     if pts.ndim != 2 or pts.shape[1] != spec.dim:
         raise ParameterError(f"points must be an (N, {spec.dim}) integer array")
     L, k = spec.box_radius, spec.degree
@@ -197,10 +197,7 @@ def witness_value(x, spec: WitnessSpec, *, exact: bool = False) -> float:
     Asymptotic normalization by default; exact=True is the comparison mode
     dividing by true joint counts (see witness_values).
     """
-    pt = tuple(int(c) for c in x)
-    if len(pt) != spec.dim:
-        raise ParameterError(f"point {x!r} does not have dimension {spec.dim}")
-    return float(witness_values([pt], spec, exact=exact)[0])
+    return float(witness_values([x], spec, exact=exact)[0])
 
 
 def decay_fit(
@@ -213,7 +210,7 @@ def decay_fit(
 
     Expected slope is -(l*d - k); samples are log-spaced integers in t_range.
     """
-    direction = tuple(int(c) for c in direction)
+    direction = _as_point(direction)
     if len(direction) != spec.dim:
         raise ParameterError(f"direction {direction!r} does not have dimension {spec.dim}")
     if all(c == 0 for c in direction):

@@ -216,6 +216,40 @@ def test_exit_code_oversized_evaluation_box(tmp_path, capsys):
     assert "error (budget)" in err
 
 
+def test_exit_code_box_walk_budget(tmp_path, capsys, monkeypatch):
+    # 15 points (i, 0) and (300, 300) at lam_max = 9: 16 points times 7 k-ball runs pass a budget
+    # of 100, and walking the box a segment a step would take 307 steps
+    path = tmp_path / "line.txt"
+    path.write_text("2\n" + "".join(f"{i} 0 1.0\n" for i in range(15)) + "300 300 1.0\n")
+    monkeypatch.setattr(spherelab.operators, "DEFAULT_SUPPORT_BUDGET", 100)
+    code, out, err = run_cli(
+        ["dominate", "--dim", "2", "--degree", "2", "--lambda-max", "9",
+         "--f", f"file:{path}", "--g", f"file:{path}"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 2      # the config echo and a one-line error
+    assert err.splitlines()[1].startswith("error (budget)")
+
+
+def test_joint_count(capsys):
+    # N(5) = r_{4,2}(5) = 8 * (1 + 5)
+    code, out, _ = run_cli(["joint", "--dim", "2", "--linearity", "2", "--lambda", "5"], capsys)
+    assert code == 0
+    assert out == "48\n"
+
+
+@pytest.mark.parametrize("argv", [["--linearity", "2", "--lambda", "-1"],
+                                  ["--linearity", "0", "--lambda", "5"]])
+def test_joint_rejects_bad_parameters(argv, capsys):
+    code, out, err = run_cli(["joint", "--dim", "2"] + argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 2
+    assert err.splitlines()[1].startswith("error (parameters)")
+
+
 def _limit_address_space():
     limit = 1536 * 2**20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

@@ -1,7 +1,9 @@
 import io
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from spherelab import (
@@ -42,6 +44,14 @@ def test_box_sizes():
     assert make_box_indicator(1, 0) == make_delta(1)
 
 
+def test_box_points_are_the_cube_in_lexicographic_order():
+    for dim, radius in ((1, 0), (2, 1), (3, 2)):
+        f = make_box_indicator(dim, radius)
+        cube = list(itertools.product(range(-radius, radius + 1), repeat=dim))
+        assert list(f.values) == cube and set(f.values.values()) == {1.0}
+        assert f.bbox == ((-radius,) * dim, (radius,) * dim)
+
+
 def test_box_budget(monkeypatch):
     monkeypatch.setattr(grids, "DEFAULT_SUPPORT_BUDGET", 100)
     with pytest.raises(BudgetError):
@@ -67,6 +77,23 @@ def test_coordinates_must_stay_below_2_62():
     for far in ((1 << 62, 0), (0, -(1 << 62)), (10**20, 1)):
         with pytest.raises(ParameterError):
             GridFunction(2, {(0, 0): 1.0, far: 1.0})
+
+
+def test_coordinates_must_be_integers():
+    # int() would truncate 0.5 and 0.9 onto 0 and drop the value 1.0
+    with pytest.raises(ParameterError):
+        GridFunction(1, {(0.5,): 1.0, (0.9,): 2.0, (True,): 3.0})
+    with pytest.raises(ParameterError):
+        GridFunction(1, {("1",): 1.0})
+    f = GridFunction(2, {(True, np.int64(2)): 3.0, (np.int32(-1), 0): 1.0})
+    assert f.items_sorted() == [((-1, 0), 1.0), ((1, 2), 3.0)]
+
+
+def test_value_point_must_be_integers():
+    f = GridFunction(2, {(1, 2): 3.0})
+    assert f.value((np.int64(1), 2)) == 3.0
+    with pytest.raises(ParameterError):
+        f.value((1.7, 2.2))       # int() would read f(1, 2)
 
 
 def test_immutability():

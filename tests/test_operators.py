@@ -566,6 +566,31 @@ def test_ball_past_support_budget_is_pulled(monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+def line_and_far_point(n: int) -> GridFunction:
+    """n - 1 points (i, 0) and (300, 300) in Z^2: at lam_max = 9 a common box of 307 segments of
+    307 rows, and a k-ball of 7 runs, so n * 7 (point, run) pairs for the smallest support."""
+    return GridFunction(2, {**{(i, 0): 1.0 + i % 3 for i in range(n - 1)}, (300, 300): 0.5})
+
+
+def test_box_walk_is_bounded(monkeypatch):
+    # past the budget of (point, run) pairs the box is walked a segment a step, and a walk of more
+    # steps than the budget is refused before it starts
+    spec = SphereSpec(2, 2)
+    f = line_and_far_point(60)
+    walked, walk = [], operators._Stencil.walk
+    monkeypatch.setattr(operators._Stencil, "walk", lambda *a: walked.append(a[1]) or walk(*a))
+    want = repr(domination_check(f, f, spec, 9))
+    assert walked == [0]
+    monkeypatch.setattr(operators, "DEFAULT_SUPPORT_BUDGET", 400)      # 420 pairs, 307 steps
+    walked.clear()
+    assert repr(domination_check(f, f, spec, 9)) == want
+    assert walked == []
+    monkeypatch.setattr(operators, "DEFAULT_SUPPORT_BUDGET", 100)      # 112 pairs, 307 steps
+    g = line_and_far_point(16)
+    with pytest.raises(BudgetError, match="box walk of 307 steps"):
+        domination_check(g, g, spec, 9)
+
+
 def test_one_chunk_calls_build_no_ball(monkeypatch):
     # a box of one chunk is pulled: no k-ball and no count table are built for it
     rng = random.Random(12)

@@ -117,6 +117,25 @@ def test_witness_exact_level_budget():
     assert witness_value((1000, 0, 0, 0, 0), W5) > 0.0
 
 
+def test_witness_value_point_must_be_integers():
+    spec = WitnessSpec(2, 2, 2, 1)
+    with pytest.raises(ParameterError):
+        witness_value((0.5, 1.9), spec)     # int() would read the value at (0, 1)
+    with pytest.raises(ParameterError):
+        witness_value((1, 2, 3), spec)
+    assert witness_value((True, np.int64(1)), spec) == witness_value((1, 1), spec)
+
+
+def test_witness_values_refuse_non_integer_arrays():
+    spec = WitnessSpec(2, 2, 2, 1)
+    with pytest.raises(ParameterError):
+        witness_values(np.array([[0.5, 1.9], [2.0, 0.0]]), spec)   # would be truncated
+    with pytest.raises(ParameterError):
+        witness_values([[1, 1 << 63]], spec)      # past int64, read as uint64 by numpy
+    want = witness_values(np.array([[1, 1]]), spec)
+    assert witness_values(np.array([[1, 1]], dtype=np.int32), spec).tolist() == want.tolist()
+
+
 def test_witness_vectorized_matches_scalar():
     rng = np.random.default_rng(5)
     pts = rng.integers(-20, 21, size=(50, 5))
@@ -195,6 +214,8 @@ def test_decay_fit_errors():
         decay_fit(W5, (1, 0, 0, 0, 0), (50, 50))
     with pytest.raises(ParameterError):
         decay_fit(W5, (1, 0, 0, 0, 0), (10, 50))
+    with pytest.raises(ParameterError):
+        decay_fit(W5, (1.7, 0, 0, 0, 0), (10, 2000))      # int() would fit along (1, 0, ...)
 
 
 @pytest.mark.parametrize("spec", [
