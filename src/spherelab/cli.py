@@ -17,7 +17,7 @@ Conventions shared by all subcommands:
 Input functions for the operator subcommands are written as
   delta | box:L | file:PATH
 where PATH uses the grid-function text format (first line d, then
-"x1 ... xd value" rows in lexicographic order).
+"x1 ... xd value" rows, one per point).
 """
 
 from __future__ import annotations

@@ -52,7 +52,10 @@ class GridFunction:
             pt = _as_point(p)
             if len(pt) != dim:
                 raise ParameterError(f"point {p!r} does not have dimension {dim}")
-            fv = float(v)
+            try:
+                fv = float(v)
+            except (TypeError, ValueError, OverflowError):
+                raise ParameterError(f"value {v!r} at point {p!r} is not a real number") from None
             if not math.isfinite(fv):
                 raise ParameterError(f"value {v!r} at point {p!r} is not finite")
             if fv != 0.0:
@@ -111,6 +114,8 @@ def make_delta(dim: int) -> GridFunction:
 
 def make_box_indicator(dim: int, radius: int) -> GridFunction:
     """Indicator of the cube [-radius, radius]^dim."""
+    if not isinstance(dim, int) or dim < 1:
+        raise ParameterError(f"dim must be a positive integer, got {dim!r}")
     if not isinstance(radius, int) or radius < 0:
         raise ParameterError(f"radius must be a nonnegative integer, got {radius!r}")
     side = 2 * radius + 1
@@ -134,15 +139,17 @@ def read_grid_text(stream) -> GridFunction:
     except ValueError as exc:
         raise ParameterError(f"bad grid-function header {header!r}") from exc
     vals: dict[Point, float] = {}
-    for line in stream:
-        line = line.strip()
+    for line in map(str.strip, stream):
         if not line:
             continue
         parts = line.split()
         if len(parts) != dim + 1:
             raise ParameterError(f"bad grid-function row {line!r} for dim {dim}")
         try:
-            vals[tuple(int(c) for c in parts[:dim])] = float(parts[dim])
+            pt, v = tuple(int(c) for c in parts[:dim]), float(parts[dim])
         except ValueError as exc:
             raise ParameterError(f"bad grid-function row {line!r}: {exc}") from exc
+        if pt in vals:
+            raise ParameterError(f"grid-function row {line!r} repeats the point {pt}")
+        vals[pt] = v
     return GridFunction(dim, vals)

@@ -202,8 +202,7 @@ class _Stencil:
         for a, b in zip(cuts, cuts[1:]):
             cells = self.pairs(j, pts[a:b], run[a:b])
             out = cells < 0
-            if stop - first > 1:
-                cells += np.repeat(seg[a:b] * (self.size * width), k[a:b])
+            cells += np.repeat(seg[a:b] * (self.size * width), k[a:b])
             cells[out] = n * width
             if not full:
                 cells = slot[cells // width] * width + cells % width
@@ -215,10 +214,11 @@ class _Stencil:
 
     def walk(self, j: int, rows: int):
         """Yield (flat rows, profile of input j on them or None), in order, over the segments that
-        input j reaches (_live_profiles decides when).  A segment it sends more than _SLICE // 2
-        pairs comes alone, unprofiled.  The others are gathered in units of fewer than _SLICE pairs
-        and profiled on the rows reached, `rows` at a time, by one bincount in support order.  j's
-        runs into the box are found in blocks of _CHUNK_CELLS."""
+        input j reaches (_live_profiles decides when).  Segments are gathered in units of fewer
+        than _SLICE pairs, and one it sends more than _SLICE // 2 pairs is a unit alone.  A unit
+        of one segment, heavy or light, comes whole and unprofiled (gathering a light one reads
+        slower); the others are profiled on the rows reached, `rows` at a time, by one bincount
+        in support order.  j's runs into the box are found in blocks of _CHUNK_CELLS."""
         head, _, _, _, vals = self.supports[j]
         dims, width = self.shape[: self.axis], self.width
         step, parts = max(1, _CHUNK_CELLS // len(self.key)), []
@@ -502,19 +502,16 @@ def domination_check_multilinear(
     rest_norm = _norm_factors(spec, ell - 1, Normalization.ASYMPTOTIC, lambda_max)
     ball_w = np.arange(1, lambda_max + 1, dtype=np.float64) ** (-d / k)
 
+    box = _common_grid_box(fs, kth_root_floor(lambda_max, k))
+    if box is None:
+        return DominationReport(0.0, None, lambda_max, 0)
+    lo, shape = box
+    checked = math.prod(shape)
     worst = -math.inf
     worst_pt: tuple[int, ...] | None = None
-    box = _common_grid_box(fs, kth_root_floor(lambda_max, k))
-    checked = 0 if box is None else math.prod(box[1])
-    next_row = 0        # the box rows before it are all live
-    pruned: int | None = None
+    live = 0        # the box rows before it are all live: flat rises across the chunks
     for pts, flat, profs in _live_profiles(fs, k, lambda_max):
-        if pruned is None:
-            gaps = np.flatnonzero(flat != np.arange(next_row, next_row + len(flat)))
-            if len(gaps):
-                pruned = next_row + int(gaps[0])
-            else:
-                next_row += len(flat)
+        live += int(np.count_nonzero(flat == np.arange(live, live + len(flat))))
         a, rest = profs[0], _fold(profs[1:])
         joint = _level_convolve(a, rest)
         lhs = (joint[:, 1:] / full_norm[1:]).max(axis=1)
@@ -525,13 +522,8 @@ def domination_check_multilinear(
         if viol[i] > worst:
             worst = float(viol[i])
             worst_pt = tuple(int(c) for c in pts[i])
-    if pruned is None and next_row < checked:
-        pruned = next_row
-    if pruned is not None and 0.0 > worst:  # pruned rows attain LHS - RHS = 0
-        lo, shape = box
-        worst, worst_pt = 0.0, tuple(int(c) for c in np.unravel_index(pruned, shape) + lo)
-    if worst == -math.inf:
-        worst, worst_pt = 0.0, None
+    if live < checked and 0.0 > worst:  # the pruned row live attains LHS - RHS = 0
+        worst, worst_pt = 0.0, tuple(int(c) for c in np.unravel_index(live, shape) + lo)
     return DominationReport(worst, worst_pt, lambda_max, checked)
 
 

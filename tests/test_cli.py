@@ -315,9 +315,11 @@ def test_exit_code_coordinates_past_int64(argv, want, tmp_path, capsys):
     assert err.splitlines()[1].startswith("error (budget)" if want == 3 else "error (parameters)")
 
 
-@pytest.mark.parametrize("fn_text", [None, "1\n0.5 1.0\n", "1\n0 nan\n", "1\n0 -inf\n"])
+@pytest.mark.parametrize("fn_text", [None, "1\n0.5 1.0\n", "1\n0 nan\n", "1\n0 -inf\n",
+                                     "1\n0 1.0\n0 2.0\n"])
 def test_exit_code_bad_function_input(fn_text, tmp_path, capsys):
-    # a malformed box spec, a non-integer coordinate, non-finite values
+    # a malformed box spec, a non-integer coordinate, non-finite values, and a repeated point
+    # (keeping either row would drop the other's value)
     fn = "box:abc"
     if fn_text is not None:
         path = tmp_path / "f.txt"
@@ -330,6 +332,31 @@ def test_exit_code_bad_function_input(fn_text, tmp_path, capsys):
     )
     assert code == 2
     assert "error (parameters)" in err
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["hlmax", "--dim", "1", "--lambda-max", "1", "--fn", "file:{missing}"], "io"),
+    (["hlmax", "--dim", "2", "--lambda-max", "1", "--fn", "file:{one}"], "parameters"),
+    (["hlmax", "--dim", "1", "--lambda-max", "1", "--fn", "gauss"], "parameters"),
+    (["maxop", "--dim", "1", "--lambda-max", "2", "--fn", "delta"], "parameters"),
+], ids=["missing-file", "wrong-dim", "unknown-spec", "one-fn-for-two"])
+def test_exit_code_bad_operator_input(argv, kind, tmp_path, capsys):
+    (tmp_path / "one.txt").write_text("1\n0 1.0\n")
+    paths = {name: tmp_path / f"{name}.txt" for name in ("missing", "one")}
+    code, out, err = run_cli([a.format(**paths) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 2      # the config echo and a one-line error
+    assert err.splitlines()[1].startswith(f"error ({kind})")
+
+
+def test_exit_code_threads_below_one(capsys):
+    # the config echo needs the resolved thread count, so the error is the only line
+    code, out, err = run_cli(["region", "--p", "2", "--q", "2", "--r", "1", "--dim", "5",
+                              "--threads", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error (parameters): --threads must be >= 1, got 0"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -395,3 +422,16 @@ def test_atomic_write_leaves_no_temp_files(tmp_path, capsys):
     )
     assert code == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv"]
+
+
+def test_atomic_write_to_a_directory_leaves_no_temp_file(tmp_path, capsys):
+    target = tmp_path / "d"
+    target.mkdir()
+    code, out, err = run_cli(
+        ["count", "--dim", "1", "--degree", "2", "--lambda-max", "4", "--out", str(target)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[1].startswith("error (io)")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+    assert list(target.iterdir()) == []

@@ -107,10 +107,15 @@ def test_immutability():
 def test_dimension_validation():
     with pytest.raises(ParameterError):
         GridFunction(2, {(1, 2, 3): 1.0})
+    # dim = -1 passes the box's budget check (3^-1 points), so dim is checked before it
+    for dim in (-1, 0, 2.0, "2"):
+        with pytest.raises(ParameterError, match="dim must be a positive integer"):
+            make_box_indicator(dim, 1)
 
 
 def test_non_finite_values_rejected():
-    for bad in (math.nan, math.inf, -math.inf):
+    # values that float() cannot read (TypeError, ValueError, OverflowError) are rejected too
+    for bad in (math.nan, math.inf, -math.inf, None, 1 + 2j, [1.0], "abc", 10**400):
         with pytest.raises(ParameterError):
             GridFunction(2, {(0, 0): 1.0, (1, 0): bad})
 
@@ -212,3 +217,11 @@ def test_text_format_rejects_garbage():
         read_grid_text(io.StringIO("2\n1 2 3 4\n"))
     with pytest.raises(ParameterError):
         read_grid_text(io.StringIO("2\n1 0.5 3\n"))
+    # keeping the last of two rows for one point would drop the other's value
+    with pytest.raises(ParameterError, match="repeats the point"):
+        read_grid_text(io.StringIO("2\n0 0 1.0\n1 0 1.0\n0 00 2.0\n"))
+
+
+def test_text_format_skips_blank_lines_and_reads_rows_in_any_order():
+    f = read_grid_text(io.StringIO("2\n\n1 0 2.5\n   \n-1 3 1.0\n\n"))
+    assert f.items_sorted() == [((-1, 3), 1.0), ((1, 0), 2.5)]

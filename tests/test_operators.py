@@ -14,6 +14,7 @@ from spherelab import (
     GridFunction,
     Normalization,
     OperatorConfig,
+    DominationReport,
     ParameterError,
     SphereSpec,
     domination_check,
@@ -163,6 +164,29 @@ def test_maximal_zero_input():
     cfg = OperatorConfig(SphereSpec(2, 2), 2, 10, Normalization.EXACT)
     z = GridFunction(2, {})
     assert multilinear_maximal([z, make_delta(2)], cfg).support_size() == 0
+
+
+def test_maximal_with_no_nonempty_level_is_zero():
+    # two cubes in Z^1 sum to 0, 1 or 2 below 8, so N(lam) = 0 for every lam in [3, 7]
+    cfg = OperatorConfig(SphereSpec(1, 3), 2, 7, Normalization.EXACT, 3)
+    d = make_delta(1)
+    assert multilinear_maximal([d, d], cfg) == GridFunction(1, {})
+
+
+def test_disjoint_supports_have_no_evaluation_box():
+    # the radius-2 boxes around (0, 0) and (100, 100) do not meet: every output is zero
+    spec = SphereSpec(2, 2)
+    f, g = GridFunction(2, {(0, 0): 1.0}), GridFunction(2, {(100, 100): 1.0})
+    cfg = OperatorConfig(spec, 2, 4, Normalization.EXACT)
+    assert multilinear_average([f, g], 4, cfg) == GridFunction(2, {})
+    assert multilinear_maximal([f, g], cfg) == GridFunction(2, {})
+    assert domination_check(f, g, spec, 4) == DominationReport(0.0, None, 4, 0)
+    # the input checks still come first
+    with pytest.raises(ParameterError, match="nonnegative"):
+        domination_check(f, GridFunction(2, {(100, 100): -1.0}), spec, 4)
+    with pytest.raises(ParameterError, match="dim >= degree"):
+        domination_check(GridFunction(1, {(0,): 1.0}), GridFunction(1, {(100,): 1.0}),
+                         SphereSpec(1, 2), 4)
 
 
 def test_maximal_monotone_in_lambda_max():
@@ -352,6 +376,16 @@ def test_domination_reports_first_pruned_row_when_live_rows_are_negative(monkeyp
             assert {how for how, _, _ in built} == {"push"}
             assert sum(n for _, j, n in built if j == 0) == 5 * len({x[0] for x in live})
             assert sum(n for _, j, n in built if j == 1) == len(live)
+
+
+def test_domination_reports_pruned_row_after_the_live_ones():
+    # the box is 2 x 3 rows from (2, 0): rows 0-2 (x_0 = 2) are live, and rows 3-5 reach no
+    # point of g, so with every live row below 0 the first of them, (3, 0), is the answer
+    spec = SphereSpec(2, 2)
+    f = GridFunction(2, {(3, 1): 1.0})
+    g = GridFunction(2, {(-3, -3): 1.0, (1, 1): 1.0, (2, -3): 1.0})
+    assert [flat.tolist() for _, flat, _ in operators._live_profiles([f, g], 2, 2)] == [[0, 1, 2]]
+    assert domination_check(f, g, spec, 2) == DominationReport(0.0, (3, 0), 2, 6)
 
 
 def test_outputs_independent_of_chunk_size(monkeypatch):

@@ -136,6 +136,10 @@ def test_witness_values_refuse_non_integer_arrays():
     assert witness_values(np.array([[1, 1]], dtype=np.int32), spec).tolist() == want.tolist()
 
 
+def test_witness_values_of_no_points_is_empty():
+    assert witness_values(np.zeros((0, 2), dtype=np.int64), WitnessSpec(2, 2, 2, 1)).shape == (0,)
+
+
 def test_witness_vectorized_matches_scalar():
     rng = np.random.default_rng(5)
     pts = rng.integers(-20, 21, size=(50, 5))
