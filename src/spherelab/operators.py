@@ -151,14 +151,15 @@ class _Stencil:
             near = ((tail < self.radius) | (tail >= edge)).any(axis=0)  # some pair leaves the box
             self.supports.append((head, tail, strides @ tail * self.width, near, vals))
 
-    def pairs(self, j: int, pts: np.ndarray, run: np.ndarray) -> np.ndarray:
-        """The cell in the segment (row there * width + level) of each pair that points pts of
-        input j send through their runs, in order, or -1 where the pair leaves the box."""
+    def pairs(self, j: int, pts: np.ndarray, run: np.ndarray, offset=0) -> np.ndarray:
+        """The cell in the segment (row there * width + level), plus offset[i] for pts[i], of each
+        pair that points pts of input j send through their runs, in order, or -1 where the pair
+        leaves the box."""
         _, tail, base, near, _ = self.supports[j]
         k = self.length[run]
         ends = np.cumsum(k)
         idx = np.arange(ends[-1]) + np.repeat(self.start[run] - ends + k, k)
-        cells = self.cell[idx] + np.repeat(base[pts], k)
+        cells = self.cell[idx] + np.repeat(base[pts] + offset, k)
         edge = np.flatnonzero(np.repeat(near[pts], k))
         if len(edge):
             p, u, out = np.repeat(pts, k)[edge], idx[edge], np.zeros(len(edge), dtype=bool)
@@ -200,10 +201,8 @@ class _Stencil:
         before = np.cumsum(k) - k
         cuts = [*np.flatnonzero(np.diff(before // _SLICE, prepend=-1)).tolist(), len(pts)]
         for a, b in zip(cuts, cuts[1:]):
-            cells = self.pairs(j, pts[a:b], run[a:b])
-            out = cells < 0
-            cells += np.repeat(seg[a:b] * (self.size * width), k[a:b])
-            cells[out] = n * width
+            cells = self.pairs(j, pts[a:b], run[a:b], seg[a:b] * (self.size * width))
+            cells[cells < 0] = n * width
             if not full:
                 cells = slot[cells // width] * width + cells % width
             np.add.at(prof, cells, np.repeat(vals[pts[a:b]], k[a:b]))

@@ -516,8 +516,8 @@ def test_push_matches_pull(monkeypatch):
             sent.append((blocks, len(np.unique(flat // self.size))))
         return got
 
-    def spy_pairs(self, j, pts, run):
-        cells = pairs(self, j, pts, run)
+    def spy_pairs(self, j, pts, run, *offset):
+        cells = pairs(self, j, pts, run, *offset)
         if pushing:
             pushing[-1][int(pts[0]) // 256] += len(cells)
         left.append(bool((cells < 0).any()))
