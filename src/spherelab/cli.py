@@ -118,7 +118,8 @@ def _load_function(spec_text: str, dim: int) -> GridFunction:
             raise ParameterError(f"bad box radius in {spec_text!r}") from exc
         return make_box_indicator(dim, radius)
     if spec_text.startswith("file:"):
-        with open(spec_text[5:], "r") as handle:
+        # the format is ASCII: any other byte reads as U+FFFD, which no field matches
+        with open(spec_text[5:], "r", encoding="ascii", errors="replace") as handle:
             f = read_grid_text(handle)
         if f.dim != dim:
             raise ParameterError(f"{spec_text}: function has dim {f.dim}, expected {dim}")

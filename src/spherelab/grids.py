@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from types import MappingProxyType
 
 import numpy as np
@@ -37,8 +38,8 @@ def _as_point(p) -> Point:
 
 
 class GridFunction:
-    """Immutable finitely supported function on Z^d; non-finite values, non-integer coordinates
-    and coordinates of magnitude 2^62 or more are rejected."""
+    """Immutable finitely supported function on Z^d; non-finite or text values, non-integer
+    coordinates and coordinates of magnitude 2^62 or more are rejected."""
 
     __slots__ = ("dim", "_values", "bbox")
 
@@ -52,8 +53,9 @@ class GridFunction:
             pt = _as_point(p)
             if len(pt) != dim:
                 raise ParameterError(f"point {p!r} does not have dimension {dim}")
-            try:
-                fv = float(v)
+            try:       # float() would also parse text: a str or bytes-like value is refused
+                fv = v if type(v) is float else float(
+                    None if isinstance(v, (str, bytes, bytearray, memoryview)) else v)
             except (TypeError, ValueError, OverflowError):
                 raise ParameterError(f"value {v!r} at point {p!r} is not a real number") from None
             if not math.isfinite(fv):
@@ -133,20 +135,25 @@ def write_grid_text(f: GridFunction, stream) -> None:
 
 
 def read_grid_text(stream) -> GridFunction:
+    """Read the text format, ASCII with fields split by whitespace: d and the coordinates are
+    -?[0-9]+, a value a float literal without '_' (as every repr(float) write_grid_text writes)."""
+    integer = re.compile(r"-?[0-9]+").fullmatch
     header = stream.readline()
-    try:
-        dim = int(header.strip())
-    except ValueError as exc:
-        raise ParameterError(f"bad grid-function header {header!r}") from exc
+    if not (header.isascii() and integer(header.strip())):
+        raise ParameterError(f"bad grid-function header {header!r}")
+    dim = int(header.strip())
     vals: dict[Point, float] = {}
-    for line in map(str.strip, stream):
-        if not line:
+    for raw in stream:
+        if not (line := raw.strip()) and raw.isascii():     # blank; a non-ASCII one fails below
             continue
         parts = line.split()
         if len(parts) != dim + 1:
             raise ParameterError(f"bad grid-function row {line!r} for dim {dim}")
+        *coords, value = parts
         try:
-            pt, v = tuple(int(c) for c in parts[:dim]), float(parts[dim])
+            if not raw.isascii() or not all(map(integer, coords)) or "_" in value:
+                raise ValueError("a row is ASCII, with integer coordinates and no '_'")
+            pt, v = tuple(map(int, coords)), float(value)
         except ValueError as exc:
             raise ParameterError(f"bad grid-function row {line!r}: {exc}") from exc
         if pt in vals:

@@ -16,13 +16,13 @@ f_j(x - u),  nu = 0..Lam.  The left fold of pairwise level convolutions
 
     P(x, .) = A_1(x, .) * A_2(x, .) * ... * A_l(x, .)
 
-gives T_lam(x) = P(x, lam) / norm(lam).  One engine, _live_profiles, builds
-the profiles for every operator, and each operator is a reduction of them.
+gives T_lam(x) = P(x, lam) / norm(lam).  One engine, _engine, builds the
+profiles for every operator, and each operator is a reduction of them.
 Its rows lie in the common box (the dilations by floor(Lam^(1/k)) of the
 supports' bounding boxes, intersected), walked in lexicographic order at
 most a chunk at a time: by _Stencil.walk, only the segments (rows sharing a
 coordinate prefix) that a k-ball around a point of the smallest support
-reaches, or by _live_profiles, the whole box a segment or a chunk a step.
+reaches, or by _engine, the whole box a segment or a chunk a step.
 Each profile, smallest support first, is pushed through the k-ball or
 pulled onto the rows still live, and rows where one is zero are dropped.
 Each profile cell is the sum of its pairs in support order from +0.0,
@@ -47,6 +47,7 @@ keeps the conventional range mu >= 1.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -108,17 +109,6 @@ def _validate(
             raise ParameterError(f"input dimension {f.dim} != spec dimension {spec.dim}")
         if nonnegative and any(v < 0.0 for v in f.values.values()):
             raise ParameterError(f"input {i} must be nonnegative for the domination check")
-
-
-def _common_grid_box(fs: list[GridFunction], radius: int) -> tuple[np.ndarray, tuple[int, ...]] | None:
-    """(lower corner, shape) of the intersection of each support bbox dilated by radius in sup-norm."""
-    if any(f.bbox is None for f in fs):
-        return None
-    lo = [max(c) - radius for c in zip(*(f.bbox[0] for f in fs))]
-    hi = [min(c) + radius for c in zip(*(f.bbox[1] for f in fs))]
-    if any(a > b for a, b in zip(lo, hi)):
-        return None
-    return np.array(lo, dtype=np.int64), tuple(b - a + 1 for a, b in zip(lo, hi))
 
 
 class _Stencil:
@@ -213,7 +203,7 @@ class _Stencil:
 
     def walk(self, j: int, rows: int):
         """Yield (flat rows, profile of input j on them or None), in order, over the segments that
-        input j reaches (_live_profiles decides when).  Segments are gathered in units of fewer
+        input j reaches (_engine decides when).  Segments are gathered in units of fewer
         than _SLICE pairs, and one it sends more than _SLICE // 2 pairs is a unit alone.  A unit
         of one segment, heavy or light, comes whole and unprofiled (gathering a light one reads
         slower); the others are profiled on the rows reached, `rows` at a time, by one bincount
@@ -313,28 +303,29 @@ def _fold(profiles: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _live_profiles(fs: list[GridFunction], degree: int, lam_max: int):
-    """The evaluation engine: yield (points, flat, profiles) per chunk of live rows.
+def _engine(fs: list[GridFunction], degree: int, lam_max: int):
+    """The evaluation engine: (lo, shape, live), or None when the common box is empty.
 
-    Chunks cover the live rows of the common evaluation box in lexicographic
-    order: those where no input's profile is identically zero.  points holds
-    their coordinates, flat their indices in the box (row-major), and
-    profiles[j] the levels 0..lam_max of fs[j].
-    Profiles are built smallest support first, shrinking the live set as
-    empty rows appear.  Only this function chooses the rows walked: the
-    stencil's walk of the smallest support's reach when a stencil exists and
-    that support has at most DEFAULT_SUPPORT_BUDGET (point, run) pairs, else
-    one box walk, a segment (or without a stencil a chunk) a step, refused
-    with BudgetError before its first step past DEFAULT_SUPPORT_BUDGET steps.
-    A box of one chunk, a k-ball past the support budget, or a run key past
-    int64 builds no stencil: every profile is pulled.  A pull caps each
-    coordinate difference where a k-th power of it could pass int64.
+    The box, corner lo, is the supports' bounding boxes dilated by floor(lam_max^(1/k)) in
+    sup-norm, intersected.  live yields (points, flat, profiles) per chunk of live rows (no input's
+    profile identically zero) in lexicographic order: their coordinates, their row-major indices
+    in the box, and profiles[j] the levels 0..lam_max of fs[j].  unit profiles a unit of rows
+    smallest support first, dropping empty rows as they appear, and reads only the stencil and
+    the supports.  The units are the stencil's walk of the smallest support's reach when a
+    stencil exists and that support has at most DEFAULT_SUPPORT_BUDGET (point, run) pairs, else
+    one box walk, a segment (or without a stencil a chunk) a step, refused with BudgetError past
+    DEFAULT_SUPPORT_BUDGET steps.  A box of one chunk, a k-ball past the support budget, or a run
+    key past int64 builds no stencil: every profile is pulled, capping each coordinate difference
+    whose k-th power could pass int64.
     """
     radius = kth_root_floor(lam_max, degree)
-    box = _common_grid_box(fs, radius)
-    if box is None:
-        return
-    lo, shape = box
+    if any(f.bbox is None for f in fs):
+        return None
+    lo = [max(c) - radius for c in zip(*(f.bbox[0] for f in fs))]
+    hi = [min(c) + radius for c in zip(*(f.bbox[1] for f in fs))]
+    if any(a > b for a, b in zip(lo, hi)):
+        return None
+    lo, shape = np.array(lo, dtype=np.int64), tuple(b - a + 1 for a, b in zip(lo, hi))
     total, rows = math.prod(shape), min(_CHUNK_ROWS, _CHUNK_CELLS // (lam_max + 1))
     if total >= 1 << 63:
         raise BudgetError(f"an evaluation box of {total} rows exceeds the int64 row index range")
@@ -360,9 +351,9 @@ def _live_profiles(fs: list[GridFunction], degree: int, lam_max: int):
         units = ((np.arange(a, min(a + step, total)), None) for a in range(0, total, step))
     else:
         units = stencil.walk(order[0], rows)
-    for flat, smallest in units:
-        points = None       # the coordinates of flat, once a pull needs them
-        built: dict[int, np.ndarray] = {}
+
+    def unit(flat, smallest):
+        points, profiles = None, [None] * len(fs)   # points: flat's coordinates, once needed
         for j in order:
             prof = smallest if j == order[0] else None
             if prof is None and stencil is not None:
@@ -373,17 +364,17 @@ def _live_profiles(fs: list[GridFunction], degree: int, lam_max: int):
                 prof = _level_profile(points, *supports[j], degree, lam_max, caps[j])
             keep = prof.any(axis=1)
             if not keep.all():
+                if not keep.any():
+                    return None
                 flat, prof = flat[keep], prof[keep]
-                built = {jj: p[keep] for jj, p in built.items()}
-                if points is not None:
-                    points = points[keep]
-            built[j] = prof
-            if len(flat) == 0:
-                break
-        if len(flat):
-            if points is None:
-                points = np.stack(np.unravel_index(flat, shape), axis=1) + lo
-            yield points, flat, [built[j] for j in range(len(fs))]
+                profiles = [p if p is None else p[keep] for p in profiles]
+                points = None if points is None else points[keep]
+            profiles[j] = prof
+        if points is None:
+            points = np.stack(np.unravel_index(flat, shape), axis=1) + lo
+        return points, flat, profiles
+
+    return lo, shape, filter(None, itertools.starmap(unit, units))
 
 
 def _evaluate(fs: list[GridFunction], degree: int, lam_max: int, reduce) -> GridFunction:
@@ -392,7 +383,8 @@ def _evaluate(fs: list[GridFunction], degree: int, lam_max: int, reduce) -> Grid
     BudgetError is raised before the output grows past DEFAULT_SUPPORT_BUDGET points.
     """
     values: dict[tuple[int, ...], float] = {}
-    for points, _, profiles in _live_profiles(fs, degree, lam_max):
+    engine = _engine(fs, degree, lam_max)
+    for points, _, profiles in engine[2] if engine else ():
         out = reduce(profiles)
         nz = np.flatnonzero(out)
         if len(values) + len(nz) > DEFAULT_SUPPORT_BUDGET:
@@ -501,15 +493,15 @@ def domination_check_multilinear(
     rest_norm = _norm_factors(spec, ell - 1, Normalization.ASYMPTOTIC, lambda_max)
     ball_w = np.arange(1, lambda_max + 1, dtype=np.float64) ** (-d / k)
 
-    box = _common_grid_box(fs, kth_root_floor(lambda_max, k))
-    if box is None:
+    engine = _engine(fs, k, lambda_max)
+    if engine is None:
         return DominationReport(0.0, None, lambda_max, 0)
-    lo, shape = box
+    lo, shape, chunks = engine
     checked = math.prod(shape)
     worst = -math.inf
     worst_pt: tuple[int, ...] | None = None
     live = 0        # the box rows before it are all live: flat rises across the chunks
-    for pts, flat, profs in _live_profiles(fs, k, lambda_max):
+    for pts, flat, profs in chunks:
         live += int(np.count_nonzero(flat == np.arange(live, live + len(flat))))
         a, rest = profs[0], _fold(profs[1:])
         joint = _level_convolve(a, rest)

@@ -316,14 +316,14 @@ def test_exit_code_coordinates_past_int64(argv, want, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fn_text", [None, "1\n0.5 1.0\n", "1\n0 nan\n", "1\n0 -inf\n",
-                                     "1\n0 1.0\n0 2.0\n"])
+                                     "1\n0 1.0\n0 2.0\n", b"1\n\xff 1.0\n", b"\xd9\xa1\n0 1.0\n"])
 def test_exit_code_bad_function_input(fn_text, tmp_path, capsys):
-    # a malformed box spec, a non-integer coordinate, non-finite values, and a repeated point
-    # (keeping either row would drop the other's value)
+    # a malformed box spec, a non-integer coordinate, non-finite values, a repeated point
+    # (keeping either row would drop the other's value), and bytes that are not ASCII
     fn = "box:abc"
     if fn_text is not None:
         path = tmp_path / "f.txt"
-        path.write_text(fn_text)
+        path.write_bytes(fn_text if isinstance(fn_text, bytes) else fn_text.encode())
         fn = f"file:{path}"
     code, _, err = run_cli(
         ["avg", "--dim", "1", "--degree", "2", "--linearity", "2", "--lambda", "2",

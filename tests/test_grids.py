@@ -114,8 +114,10 @@ def test_dimension_validation():
 
 
 def test_non_finite_values_rejected():
-    # values that float() cannot read (TypeError, ValueError, OverflowError) are rejected too
-    for bad in (math.nan, math.inf, -math.inf, None, 1 + 2j, [1.0], "abc", 10**400):
+    # values that float() cannot read (TypeError, ValueError, OverflowError) are rejected too,
+    # and so is text that it can: a value is a number, like a coordinate
+    for bad in (math.nan, math.inf, -math.inf, None, 1 + 2j, [1.0], "abc", 10**400,
+                "1.5", b"1.5", bytearray(b"1.5"), memoryview(b"1.5")):
         with pytest.raises(ParameterError):
             GridFunction(2, {(0, 0): 1.0, (1, 0): bad})
 
@@ -208,6 +210,11 @@ def test_text_format_round_trip():
     # rows are lexicographically sorted
     rows = [tuple(int(c) for c in line.split()[:3]) for line in text.splitlines()[1:]]
     assert rows == sorted(rows)
+    # the smallest subnormal, the most negative float and reprs in exponent and plain form
+    f = GridFunction(1, {(0,): 5e-324, (1,): -1.7976931348623157e308, (2,): 1e-05, (3,): 0.1})
+    buf = io.StringIO()
+    write_grid_text(f, buf)
+    assert read_grid_text(io.StringIO(buf.getvalue())) == f
 
 
 def test_text_format_rejects_garbage():
@@ -220,6 +227,16 @@ def test_text_format_rejects_garbage():
     # keeping the last of two rows for one point would drop the other's value
     with pytest.raises(ParameterError, match="repeats the point"):
         read_grid_text(io.StringIO("2\n0 0 1.0\n1 0 1.0\n0 00 2.0\n"))
+    # int(), float() and str.split() also read '_' separators, a '+' sign, non-ASCII digits and
+    # non-ASCII spaces, which the format does not allow: it is ASCII, d and the coordinates are
+    # -?[0-9]+, and a value has no '_'
+    for text in ("1\n1_000 2.0\n", "1\n\u0661 2.0\n", "1\n+3 2.0\n", "1\n0 \u0662.5\n",
+                 "1\n0 1_000\n", "+1\n0 2.0\n", "\u0661\n0 2.0\n", "1_0\n", "1\n0\u30002.0\n",
+                 "\u00a01\n0 2.0\n", "1\n0 2.0\u3000\n", "1\n\u3000\n0 2.0\n"):
+        with pytest.raises(ParameterError):
+            read_grid_text(io.StringIO(text))
+    f = read_grid_text(io.StringIO("2\n00 -0 2.5\n-012 7 1e3\n"))    # leading zeros still read
+    assert f.items_sorted() == [((-12, 7), 1000.0), ((0, 0), 2.5)]
 
 
 def test_text_format_skips_blank_lines_and_reads_rows_in_any_order():

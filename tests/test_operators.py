@@ -384,8 +384,24 @@ def test_domination_reports_pruned_row_after_the_live_ones():
     spec = SphereSpec(2, 2)
     f = GridFunction(2, {(3, 1): 1.0})
     g = GridFunction(2, {(-3, -3): 1.0, (1, 1): 1.0, (2, -3): 1.0})
-    assert [flat.tolist() for _, flat, _ in operators._live_profiles([f, g], 2, 2)] == [[0, 1, 2]]
+    assert [flat.tolist() for _, flat, _ in operators._engine([f, g], 2, 2)[2]] == [[0, 1, 2]]
     assert domination_check(f, g, spec, 2) == DominationReport(0.0, (3, 0), 2, 6)
+
+
+def test_domination_tie_between_units_keeps_the_first_row(monkeypatch):
+    # the live rows peak at exactly 0.0 at (0, 0, 0) and at (1, 0, 0): in one unit at 1 << 13
+    # rows, in different units at 7 and 2, and the strict merge keeps the first of them
+    spec = SphereSpec(3, 2)
+    f = make_box_indicator(3, 1)
+    g = GridFunction(3, {(0, 0, 0): 1.0, (1, 0, 0): 1.0})
+    for rows in (1 << 13, 7, 2):
+        monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
+        units = [set(map(tuple, pts.tolist())) for pts, _, _ in operators._engine([f, g], 2, 10)[2]]
+        first, second = ([i for i, u in enumerate(units) if x in u] for x in ((0, 0, 0), (1, 0, 0)))
+        assert len(first) == len(second) == 1 and (first == second) == (rows == 1 << 13)
+        rep = domination_check(f, g, spec, 10)
+        assert rep.max_violation == 0.0
+        assert rep.argmax_point == (0, 0, 0)
 
 
 def test_outputs_independent_of_chunk_size(monkeypatch):
