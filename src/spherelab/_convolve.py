@@ -39,8 +39,11 @@ from .errors import BudgetError
 # coefficient: per-call timings of the r_{d,k} table builds (d <= 10,
 # k = 2, 3) and of experiment 1 favour schoolbook at 5 pairs per coefficient
 # and the decimal path at 10.3 when n_out = 10^4, and are even at 6.9
-# (2.3e5 pairs) when n_out = 2^15.
+# (2.3e5 pairs) when n_out = 2^15.  It also has a fixed cost of 17-34 us, and
+# a schoolbook pair costs about 0.09 us: over the 208 steps of the tables to
+# lambda = 12, 15, 30 and 60, a fixed term of 300 or 400 pairs was fastest.
 _SPARSE_PAIRS_PER_COEFF = 6
+_SPARSE_FIXED_PAIRS = 300
 
 # Largest dense operand, n_out * w digits.  The biggest in use are 3.15 M
 # (experiment 2: d = 10, lambda = 2^17) and 2.4 M (d = 10, lambda = 10^5).
@@ -132,7 +135,7 @@ def convolve_trunc(a: list[int], b: list[int], n_out: int) -> list[int]:
     nnz_b = len(b) - b.count(0)
     if nnz_a == 0 or nnz_b == 0 or n_out == 0:
         return [0] * n_out
-    if nnz_a * nnz_b <= _SPARSE_PAIRS_PER_COEFF * n_out:
+    if nnz_a * nnz_b <= _SPARSE_PAIRS_PER_COEFF * n_out + _SPARSE_FIXED_PAIRS:
         return _convolve_sparse(a, b, n_out)
     w = len(str(min(sum(a) * max(b), sum(b) * max(a)))) + 1
     if n_out * w > _DIGIT_BUDGET:

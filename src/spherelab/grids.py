@@ -53,9 +53,9 @@ class GridFunction:
             pt = _as_point(p)
             if len(pt) != dim:
                 raise ParameterError(f"point {p!r} does not have dimension {dim}")
-            try:       # float() would also parse text: a str or bytes-like value is refused
-                fv = v if type(v) is float else float(
-                    None if isinstance(v, (str, bytes, bytearray, memoryview)) else v)
+            try:       # float() would also parse text: a str or bytes-like value is refused,
+                fv = v if type(v) is float else float(None if isinstance(   # bare or 0-d array
+                    v[()] if isinstance(v, np.ndarray) else v, (str, bytes, bytearray, memoryview)) else v)
             except (TypeError, ValueError, OverflowError):
                 raise ParameterError(f"value {v!r} at point {p!r} is not a real number") from None
             if not math.isfinite(fv):

@@ -18,8 +18,14 @@ lam = 0 arises only at x = 0, w = 0 and is excluded (level scans start at 1).
 
 Each level is a sum of independent per-axis terms, so witness_values adds
 them axis by axis over fixed-size row blocks: memory stays bounded for any
-batch.  The region sums keep their own chunks (60k points, 30k samples):
-those fix the float summation order and the random stream, hence the bytes.
+batch.  Under asymptotic normalization the weight lam^-(l*d/k - 1) falls
+as lam grows, so only a row's first level and the levels whose count beats
+every smaller level's can hold its maximum, and only those are weighted;
+the maximum is the same float, as the float64 weights and products are
+monotone too.  An exact region evaluates each multiset of |x_i| once: the
+witness value depends on nothing else.  The region sums keep their own
+chunks (60k points, 30k samples): those fix the float summation order and
+the random stream, hence the bytes.
 
 Pointwise this family decays like |x|^-(l*d - k), so its l^r norm over a
 ball diverges as the radius grows exactly when r <= d/(l*d - k); dyadic
@@ -128,6 +134,17 @@ def witness_values(points: np.ndarray, spec: WitnessSpec, *, exact: bool = False
     pass; lam = 0 (only at x = 0) is excluded.  A row's value depends only on
     its own levels, so blocking never changes the output.
 
+    Under asymptotic normalization with l*d/k > 1, a run of levels is
+    weighted only when it is its row's first or its count beats that of
+    every smaller level of the row; any other run has a count no larger than
+    some smaller level's and a weight no larger (the float64 lam^-e does not
+    rise with lam, and the rounded c * p does not fall as c or p rise), so it
+    cannot raise the row's maximum: the output bytes are those of weighting
+    every run, which tests/test_sharpness.py checks up to levels near 2^61.
+    lam = 0, weighted 0, is the first level only at x = 0, where it has
+    count 1 and every other level count >= 2 (w and -w).  exact=True
+    (N(lam) is not monotone) and l*d/k <= 1 weight every run.
+
     exact=True divides candidate counts by the true joint count N(lam)
     instead of lam^(l*d/k - 1), which needs the joint table up to the largest
     candidate level; decay fits and norm scans use the asymptotic form.
@@ -161,22 +178,36 @@ def witness_values(points: np.ndarray, spec: WitnessSpec, *, exact: bool = False
         table = DEFAULT_CACHE.table(SphereSpec(spec.dim * spec.linearity, k), int(top))
     w = np.arange(-L, L + 1)
     expo = spec.linearity * spec.dim / k - 1.0
+    records_only = not exact and expo > 0.0
     rows = max(1, _BLOCK_LEVELS // nb)
     out = np.empty(n)
     for lo in range(0, n, rows):
         x = pts[lo : lo + rows]
+        firsts = np.arange(len(x)) * nb  # where each row's levels start in flat
         levels = base[lo : lo + rows, None]
+        step = np.abs(x[:, :, None] - w) ** k
         for axis in range(spec.dim):
-            step = np.abs(x[:, axis, None] - w) ** k
-            levels = (levels[:, :, None] + step[:, None, :]).reshape(len(x), -1)
+            levels = (levels[:, :, None] + step[:, axis, None, :]).reshape(len(x), -1)
         levels.sort(axis=1)
         flat = levels.ravel()
-        run_start = np.empty(len(flat), dtype=bool)
-        run_start[0] = True
-        run_start[1:] = flat[1:] != flat[:-1]
-        run_start[::nb] = True  # never merge runs across rows
-        starts = np.flatnonzero(run_start)
-        counts = np.diff(np.append(starts, len(flat)))
+        edge = np.empty(len(flat) + 1, dtype=bool)     # True where a run of equal levels starts
+        np.not_equal(flat[1:], flat[:-1], out=edge[1:-1])
+        edge[::nb] = True  # never merge runs across rows; this also sets both ends
+        multi = edge[:-1] > edge[1:]        # the start of each run of two or more levels,
+        ends = np.flatnonzero(edge[1:] > edge[:-1]) + 1    # and its end, in the same order
+        # records_only keeps a row's first run and its records (see the docstring): a
+        # one-level run never beats the first, so the records are found among the rest
+        keep = multi if records_only else edge[:-1].copy()
+        keep[firsts] = True
+        starts = np.flatnonzero(keep)
+        counts = np.ones(len(starts), dtype=np.int64)
+        longer = ~edge[starts + 1]
+        counts[longer] = ends - starts[longer]
+        if records_only:
+            key = starts // nb * (nb + 1) + counts      # keys rise from row to row
+            keep = np.ones(len(key), dtype=bool)
+            keep[1:] = key[1:] > np.maximum.accumulate(key)[:-1]
+            starts, counts = starts[keep], counts[keep]
         lam_vals = flat[starts]
         if exact:
             denom = np.array([float(table.count(int(l))) if l >= 1 else 0.0 for l in lam_vals])
@@ -184,9 +215,9 @@ def witness_values(points: np.ndarray, spec: WitnessSpec, *, exact: bool = False
                 vals = np.where(denom > 0.0, counts / np.where(denom > 0.0, denom, 1.0), 0.0)
         else:
             lamf = lam_vals.astype(np.float64)
-            safe = np.where(lamf >= 1.0, lamf, 1.0)
-            vals = np.where(lamf >= 1.0, counts * safe ** (-expo), 0.0)
-        row_start = np.searchsorted(starts // nb, np.arange(len(x)))
+            pos = lamf >= 1.0
+            vals = np.where(pos, counts * np.where(pos, lamf, 1.0) ** (-expo), 0.0)
+        row_start = np.searchsorted(starts, firsts)
         out[lo : lo + len(x)] = np.maximum.reduceat(vals, row_start)
     return out
 
@@ -259,17 +290,31 @@ def _region_exact_sum(spec: WitnessSpec, r_lo: float, r_hi: float, r_exp: float)
 
     x_0 runs over -r_hi..r_hi and the other coordinates over the (d-1)-ball
     of radius r_hi, walked once by the shared k-ball descent; both are in
-    ascending order, so the points are visited in lexicographic order.
+    ascending order, so the points are visited in lexicographic order, in
+    chunks of at most 60k points.  A point's witness value depends only on
+    the multiset of its |x_i| (the box is symmetric under sign changes and
+    permutations of the axes, so the levels are the same integers), so
+    witness_values runs once per class, on the sorted |x_i|, and the values
+    are scattered back.  Each chunk then sums the same float64 array as an
+    evaluation of every point would, in the same order: the bytes are equal.
     """
     lo2, R = int(r_lo) ** 2, int(r_hi)
+    if (R + 1) ** spec.dim > 1 << 63:   # a class key, digits |x_i| <= R in base R+1, fits int64
+        raise BudgetError(f"an exact region of radius {R} in Z^{spec.dim} is too large to enumerate")
     tail, tail_lev = _ball_offsets(spec.dim - 1, 2, R * R)
-    total = 0.0
+    place = (R + 1) ** np.arange(spec.dim, dtype=np.int64)
+    keys = []
     for x0 in range(-R, R + 1):
         lev = tail_lev + x0 * x0
         cols = np.flatnonzero((lev > lo2) & (lev <= R * R))
         for i in range(0, len(cols), 60_000):
             pts = np.insert(tail[:, cols[i : i + 60_000]], 0, x0, axis=0).T
-            total += float((witness_values(pts, spec) ** r_exp).sum())
+            keys.append(np.sort(np.abs(pts), axis=1) @ place)
+    classes, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    vals = witness_values(classes[:, None] // place % (R + 1), spec)[inverse]
+    total = 0.0
+    for chunk in np.split(vals, np.cumsum([len(k) for k in keys])[:-1]):
+        total += float((chunk ** r_exp).sum())
     return total
 
 

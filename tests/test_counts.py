@@ -18,7 +18,12 @@ from spherelab import (
     rep_counts,
 )
 from spherelab import _convolve
-from spherelab._convolve import _SPARSE_PAIRS_PER_COEFF, convolve_trunc, power_trunc
+from spherelab._convolve import (
+    _SPARSE_FIXED_PAIRS,
+    _SPARSE_PAIRS_PER_COEFF,
+    convolve_trunc,
+    power_trunc,
+)
 from spherelab.counts import kth_root_floor, write_counts_csv, write_shell_csv
 
 from oracles import brute_convolve, brute_rep_count_table, brute_shell
@@ -148,7 +153,8 @@ def test_dense_convolution_matches_brute(case):
     a, b, n_out = _dense_inputs(case)
     nnz_a = sum(1 for v in a if v)
     nnz_b = sum(1 for v in b if v)
-    assert nnz_a * nnz_b > _SPARSE_PAIRS_PER_COEFF * n_out  # the dense branch is under test
+    # the dense branch is under test
+    assert nnz_a * nnz_b > _SPARSE_PAIRS_PER_COEFF * n_out + _SPARSE_FIXED_PAIRS
     assert (a is b) == (case == "square_wide")
     got = convolve_trunc(a, b, n_out)
     assert got == brute_convolve(a, b, n_out)
@@ -173,7 +179,7 @@ def test_power_trunc_matches_folded_brute(monkeypatch):
 
     def spy(a, b, n):
         pairs = (len(a) - a.count(0)) * (len(b) - b.count(0))
-        steps.append(pairs > _SPARSE_PAIRS_PER_COEFF * n)
+        steps.append(pairs > _SPARSE_PAIRS_PER_COEFF * n + _SPARSE_FIXED_PAIRS)
         return convolve_trunc(a, b, n)
 
     monkeypatch.setattr(_convolve, "convolve_trunc", spy)

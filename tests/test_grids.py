@@ -117,9 +117,11 @@ def test_non_finite_values_rejected():
     # values that float() cannot read (TypeError, ValueError, OverflowError) are rejected too,
     # and so is text that it can: a value is a number, like a coordinate
     for bad in (math.nan, math.inf, -math.inf, None, 1 + 2j, [1.0], "abc", 10**400,
-                "1.5", b"1.5", bytearray(b"1.5"), memoryview(b"1.5")):
+                "1.5", b"1.5", bytearray(b"1.5"), memoryview(b"1.5"), np.str_("1.5"),
+                np.array("1.5"), np.array(b"1.5"), np.array("1.5", dtype=object)):
         with pytest.raises(ParameterError):
             GridFunction(2, {(0, 0): 1.0, (1, 0): bad})
+    assert GridFunction(1, {(0,): np.array(2.5)}).value((0,)) == 2.5     # a 0-d number array
 
 
 def test_slice_family_delta_gives_shell_indicators():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,6 +23,7 @@ from spherelab import (
     partial_norm_scan,
     r0_bound,
     region_classify,
+    rep_counts,
     witness_value,
     witness_values,
 )
@@ -101,6 +103,52 @@ def test_witness_matches_brute_enumeration():
     vals = witness_values(pts, spec, exact=True)
     singles = [witness_value(tuple(row), spec, exact=True) for row in pts.tolist()]
     assert vals.tobytes() == np.array(singles).tobytes()
+
+
+def _all_levels_reference(pts, spec, exact):
+    """witness_values weighting every level of every row (np.unique per row)."""
+    L, k = spec.box_radius, spec.degree
+    w = np.array(list(itertools.product(range(-L, L + 1), repeat=spec.dim)))
+    expo = spec.linearity * spec.dim / k - 1.0
+    rows = []
+    for x in pts:
+        lev = (spec.linearity - 1) * (np.abs(x) ** k).sum() + (np.abs(x - w) ** k).sum(axis=1)
+        lam, counts = np.unique(lev, return_counts=True)
+        rows.append((lam[lam >= 1], counts[lam >= 1]))
+    if exact:
+        table = rep_counts(SphereSpec(spec.linearity * spec.dim, k), int(max(r[0][-1] for r in rows)))
+    out = []
+    for lam, counts in rows:
+        if exact:
+            weighted = counts / np.array([float(table.count(int(mu))) for mu in lam])
+        else:
+            weighted = counts * lam.astype(np.float64) ** -expo
+        out.append(weighted.max())
+    return np.array(out)
+
+
+@pytest.mark.parametrize("spec, small, huge", [
+    (W5, 20, [[1 << 29] * 4 + [0], [1 << 29, -(1 << 29), (1 << 29) - 1, 5, 5]]),   # expo 4
+    (WitnessSpec(2, 3, 2, 1), 30, [[800_000, 900_000], [-900_000, 900_000]]),       # expo 1/3
+    (WitnessSpec(1, 2, 2, 3), 200, [[1 << 30], [1 - (1 << 30)]]),                   # expo 0
+    (WitnessSpec(1, 3, 2, 2), 38, [[1_200_000], [-1_000_000]]),                     # expo -1/3
+], ids=lambda v: f"d{v.dim}k{v.degree}L{v.box_radius}" if isinstance(v, WitnessSpec) else None)
+def test_witness_values_equal_weighting_every_level_bitwise(spec, small, huge):
+    # only the levels that can hold a row's maximum are weighted, and only in asymptotic
+    # mode with l*d/k > 1; the bytes must be those of weighting every level
+    rng = np.random.default_rng(spec.dim * 10 + spec.degree)
+    pts = np.concatenate([
+        np.zeros((1, spec.dim), dtype=np.int64),
+        rng.integers(-3, 4, size=(60, spec.dim)),       # repeated and zero |x_i|
+        rng.integers(-small, small + 1, size=(140, spec.dim)),
+    ])
+    for exact in (False, True):
+        got = witness_values(pts, spec, exact=exact)
+        assert got.tobytes() == _all_levels_reference(pts, spec, exact).tobytes(), exact
+    # levels near 2^61, where neighbouring levels share a float64
+    far = np.array(huge, dtype=np.int64)
+    far = np.concatenate([far, far[:1] + rng.integers(-3, 4, size=(40, spec.dim))])
+    assert witness_values(far, spec).tobytes() == _all_levels_reference(far, spec, False).tobytes()
 
 
 def test_witness_box_budget():
@@ -245,6 +293,29 @@ def test_norm_scan_exact_regions_match_direct_enumeration(spec):
         if 9 < sum(c * c for c in x) <= 25:
             shell += witness_value(x, spec) ** 0.7
     assert scan.shell_sums[0] == pytest.approx(shell, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [WitnessSpec(3, 2, 2, 1), W5], ids=lambda spec: f"d{spec.dim}")
+def test_norm_scan_exact_regions_equal_pointwise_sums_bitwise(spec):
+    # an exact region sums witness^r over its points in lexicographic order, one x_0
+    # slice (in chunks of 60k points) at a time; evaluating each class of |x_i| once
+    # must leave every bit of that sum as it is
+    r = 0.7
+    scan = partial_norm_scan(spec, r, [3, 6])
+    assert scan.region_modes == ["exact", "exact"]
+    grid = np.indices((13,) * spec.dim).reshape(spec.dim, -1).T - 6
+    norm2 = (grid**2).sum(axis=1)
+    sums = []
+    for lo, hi in [(0, 3), (3, 6)]:
+        total = 0.0
+        for x0 in range(-hi, hi + 1):
+            pts = grid[(grid[:, 0] == x0) & (norm2 > lo * lo) & (norm2 <= hi * hi)]
+            for i in range(0, len(pts), 60_000):
+                total += float((witness_values(pts[i : i + 60_000], spec) ** r).sum())
+        sums.append(total)
+    sums[0] += witness_value((0,) * spec.dim, spec) ** r
+    assert scan.shell_sums == sums[1:]
+    assert scan.partial_norms == [sums[0] ** (1 / r), (sums[0] + sums[1]) ** (1 / r)]
 
 
 def test_norm_scan_partial_norms_increase():
