@@ -24,6 +24,7 @@ from .errors import BudgetError, ParameterError
 
 DEFAULT_SUPPORT_BUDGET = 10**7
 _COORD_LIMIT = 1 << 62      # coordinates and their differences stay within int64
+_TEXT = (str, bytes, bytearray, memoryview)
 
 Point = tuple[int, ...]
 
@@ -53,9 +54,11 @@ class GridFunction:
             pt = _as_point(p)
             if len(pt) != dim:
                 raise ParameterError(f"point {p!r} does not have dimension {dim}")
-            try:       # float() would also parse text: a str or bytes-like value is refused,
-                fv = v if type(v) is float else float(None if isinstance(   # bare or 0-d array
-                    v[()] if isinstance(v, np.ndarray) else v, (str, bytes, bytearray, memoryview)) else v)
+            # float() would also parse text: a str or bytes-like value, bare or in a 0-d
+            # array, is refused
+            try:
+                fv = v if type(v) is float else float(None if isinstance(
+                    v[()] if isinstance(v, np.ndarray) else v, _TEXT) else v)
             except (TypeError, ValueError, OverflowError):
                 raise ParameterError(f"value {v!r} at point {p!r} is not a real number") from None
             if not math.isfinite(fv):

@@ -18,11 +18,11 @@ lam = 0 arises only at x = 0, w = 0 and is excluded (level scans start at 1).
 
 Each level is a sum of independent per-axis terms, so witness_values adds
 them axis by axis over fixed-size row blocks: memory stays bounded for any
-batch.  Under asymptotic normalization the weight lam^-(l*d/k - 1) falls
-as lam grows, so only a row's first level and the levels whose count beats
-every smaller level's can hold its maximum, and only those are weighted;
-the maximum is the same float, as the float64 weights and products are
-monotone too.  An exact region evaluates each multiset of |x_i| once: the
+batch.  Under asymptotic normalization with l*d > k the weight
+lam^-(l*d/k - 1) falls as lam grows, so only a row's first level and the
+levels whose count beats every smaller level's can hold its maximum, and
+only those are weighted; the maximum is the same float, as the float64
+weights and products are monotone too.  An exact region evaluates each multiset of |x_i| once: the
 witness value depends on nothing else.  The region sums keep their own
 chunks (60k points, 30k samples): those fix the float summation order and
 the random stream, hence the bytes.
