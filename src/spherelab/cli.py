@@ -231,8 +231,7 @@ def _cmd_decay(args) -> int:
 
 def _cmd_normscan(args) -> int:
     spec = WitnessSpec(args.dim, args.degree, args.linearity, args.box)
-    r = _parse_exponent(args.r)
-    scan = partial_norm_scan(spec, float(r), _parse_ints(args.radii),
+    scan = partial_norm_scan(spec, _parse_exponent(args.r), _parse_ints(args.radii),
                              seed=args.seed, exact_budget=args.exact_budget,
                              samples_per_region=args.samples)
     if args.csv:

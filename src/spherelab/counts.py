@@ -35,7 +35,7 @@ import numpy as np
 
 from ._convolve import power_trunc
 from .errors import AnalysisError, BudgetError, ParameterError, RangeError
-from .grids import DEFAULT_SUPPORT_BUDGET
+from .grids import DEFAULT_SUPPORT_BUDGET, _as_int
 from .reports import ExponentReport
 
 
@@ -47,10 +47,8 @@ class SphereSpec:
     degree: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ParameterError(f"dim must be a positive integer, got {self.dim!r}")
-        if not isinstance(self.degree, int) or self.degree < 2:
-            raise ParameterError(f"degree must be an integer >= 2, got {self.degree!r}")
+        object.__setattr__(self, "dim", _as_int(self.dim, "dim", 1))
+        object.__setattr__(self, "degree", _as_int(self.degree, "degree", 2))
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,7 @@ class RepCountTable:
     counts: tuple[int, ...]
 
     def count(self, mu: int) -> int:
-        if not 0 <= mu <= self.lambda_max:
+        if not 0 <= _as_int(mu, "mu", None) <= self.lambda_max:
             raise RangeError(
                 f"mu={mu} outside table range 0..{self.lambda_max} "
                 f"(dim={self.spec.dim}, degree={self.spec.degree})"
@@ -114,8 +112,7 @@ def rep_counts(spec: SphereSpec, lambda_max: int) -> RepCountTable:
     one-dimensional series; never by shell enumeration.  A lambda_max above
     DEFAULT_SUPPORT_BUDGET raises BudgetError before anything is allocated.
     """
-    if not isinstance(lambda_max, int) or lambda_max < 0:
-        raise ParameterError(f"lambda_max must be a nonnegative integer, got {lambda_max!r}")
+    lambda_max = _as_int(lambda_max, "lambda_max", 0)
     if lambda_max > DEFAULT_SUPPORT_BUDGET:
         raise BudgetError(f"lambda_max {lambda_max} exceeds the table budget of {DEFAULT_SUPPORT_BUDGET}")
     g = one_dim_counts(spec.degree, lambda_max)
@@ -147,8 +144,7 @@ DEFAULT_CACHE = TableCache()
 
 def joint_count(spec: SphereSpec, linearity: int, lam: int) -> int:
     """N(lam) = r_{l*d,k}(lam): lattice points on the joint sphere in Z^(l*d)."""
-    if not isinstance(linearity, int) or linearity < 1:
-        raise ParameterError(f"linearity must be an integer >= 1, got {linearity!r}")
+    linearity, lam = _as_int(linearity, "linearity", 1), _as_int(lam, "lam", None)
     if lam < 0:
         raise RangeError(f"lam must be >= 0, got {lam}")
     joint = SphereSpec(dim=spec.dim * linearity, degree=spec.degree)
@@ -224,8 +220,7 @@ def enumerate_shell(spec: SphereSpec, lam: int) -> Shell:
     d >= 2, BudgetError is raised when lam >= 2^62, when a ball needs more
     than DEFAULT_SUPPORT_BUDGET points, or when the shell has more points.
     """
-    if not isinstance(lam, int) or lam < 0:
-        raise ParameterError(f"lam must be a nonnegative integer, got {lam!r}")
+    lam = _as_int(lam, "lam", 0)
     d, k = spec.dim, spec.degree
     root = kth_root_floor(lam, k)
     if d == 1:

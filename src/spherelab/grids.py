@@ -8,6 +8,10 @@ Supports stay sparse; a budget (DEFAULT_SUPPORT_BUDGET, 10^7 points) converts
 would-be memory blowups into clean BudgetError exceptions.  Non-finite
 values are rejected on construction, and support points are handed out in
 sorted order, so every accumulation over a support has a fixed order.
+
+Three rules read points, integer parameters and real values, raising ParameterError:
+_as_point a point, _as_int an integer and its lower bound (an int, bool or numpy
+integer, never a float or str), _as_real a real value (finite, never text).
 """
 
 from __future__ import annotations
@@ -38,6 +42,30 @@ def _as_point(p) -> Point:
         raise ParameterError(f"point {p!r} does not have integer coordinates") from None
 
 
+def _as_int(value, name: str, low: int | None) -> int:
+    """value as a Python int by _as_point's rule, at least low unless low is None."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or low is not None and n < low:
+        kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+        raise ParameterError(f"{name} must be {kind.get(low, f'an integer >= {low}')}, got {value!r}")
+    return n
+
+
+def _as_real(value, name: str) -> float:
+    """value as a finite float; text, bare or in a 0-d array, is refused though float() reads it."""
+    try:
+        x = float(None if isinstance(value[()] if isinstance(value, np.ndarray) else value, _TEXT)
+                  else value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ParameterError(f"{name} must be a finite real number, got {value!r}")
+    return x
+
+
 class GridFunction:
     """Immutable finitely supported function on Z^d; non-finite or text values, non-integer
     coordinates and coordinates of magnitude 2^62 or more are rejected."""
@@ -45,8 +73,7 @@ class GridFunction:
     __slots__ = ("dim", "_values", "bbox")
 
     def __init__(self, dim: int, values: dict[Point, float]):
-        if not isinstance(dim, int) or dim < 1:
-            raise ParameterError(f"dim must be a positive integer, got {dim!r}")
+        dim = _as_int(dim, "dim", 1)
         if len(values) > DEFAULT_SUPPORT_BUDGET:
             raise BudgetError(f"support of {len(values)} points exceeds budget {DEFAULT_SUPPORT_BUDGET}")
         clean: dict[Point, float] = {}
@@ -54,15 +81,7 @@ class GridFunction:
             pt = _as_point(p)
             if len(pt) != dim:
                 raise ParameterError(f"point {p!r} does not have dimension {dim}")
-            # float() would also parse text: a str or bytes-like value, bare or in a 0-d
-            # array, is refused
-            try:
-                fv = v if type(v) is float else float(None if isinstance(
-                    v[()] if isinstance(v, np.ndarray) else v, _TEXT) else v)
-            except (TypeError, ValueError, OverflowError):
-                raise ParameterError(f"value {v!r} at point {p!r} is not a real number") from None
-            if not math.isfinite(fv):
-                raise ParameterError(f"value {v!r} at point {p!r} is not finite")
+            fv = v if type(v) is float and math.isfinite(v) else _as_real(v, f"the value at {p!r}")
             if fv != 0.0:
                 clean[pt] = fv
         object.__setattr__(self, "dim", dim)
@@ -114,15 +133,12 @@ class GridFunction:
 
 def make_delta(dim: int) -> GridFunction:
     """Point mass of size 1 at the origin."""
-    return GridFunction(dim, {(0,) * dim: 1.0})
+    return GridFunction(dim, {(0,) * _as_int(dim, "dim", 1): 1.0})
 
 
 def make_box_indicator(dim: int, radius: int) -> GridFunction:
     """Indicator of the cube [-radius, radius]^dim."""
-    if not isinstance(dim, int) or dim < 1:
-        raise ParameterError(f"dim must be a positive integer, got {dim!r}")
-    if not isinstance(radius, int) or radius < 0:
-        raise ParameterError(f"radius must be a nonnegative integer, got {radius!r}")
+    dim, radius = _as_int(dim, "dim", 1), _as_int(radius, "radius", 0)
     side = 2 * radius + 1
     if side**dim > DEFAULT_SUPPORT_BUDGET:
         raise BudgetError(f"box has {side**dim} points, budget is {DEFAULT_SUPPORT_BUDGET}")

@@ -56,7 +56,7 @@ import numpy as np
 
 from .counts import DEFAULT_CACHE, SphereSpec, _ball_offsets, kth_root_floor
 from .errors import BudgetError, EmptySphereWarning, ParameterError
-from .grids import DEFAULT_SUPPORT_BUDGET, GridFunction
+from .grids import DEFAULT_SUPPORT_BUDGET, GridFunction, _as_int
 from .reports import DominationReport
 
 _CHUNK_ROWS = 1 << 13       # rows per grid chunk
@@ -80,10 +80,8 @@ class OperatorConfig:
     lambda_min: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.linearity, int) or self.linearity < 1:
-            raise ParameterError(f"linearity must be an integer >= 1, got {self.linearity!r}")
-        if not isinstance(self.lambda_max, int) or not isinstance(self.lambda_min, int):
-            raise ParameterError("lambda_min and lambda_max must be integers")
+        for name, low in (("linearity", 1), ("lambda_max", None), ("lambda_min", None)):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, low))
         if not 1 <= self.lambda_min <= self.lambda_max:
             raise ParameterError(
                 f"need 1 <= lambda_min <= lambda_max, got [{self.lambda_min}, {self.lambda_max}]"
@@ -98,17 +96,17 @@ def _validate(
     lambda_max: int,
     linearity: int | None = None,
     nonnegative: bool = False,
-) -> None:
-    """The input checks shared by every operator."""
+) -> int:
+    """The input checks shared by every operator; returns lambda_max as an int."""
     if linearity is not None and len(fs) != linearity:
         raise ParameterError(f"expected {linearity} input functions, got {len(fs)}")
-    if not isinstance(lambda_max, int) or lambda_max < 1:
-        raise ParameterError(f"lambda_max must be an integer >= 1, got {lambda_max!r}")
+    lambda_max = _as_int(lambda_max, "lambda_max", 1)
     for i, f in enumerate(fs):
         if f.dim != spec.dim:
             raise ParameterError(f"input dimension {f.dim} != spec dimension {spec.dim}")
         if nonnegative and any(v < 0.0 for v in f.values.values()):
             raise ParameterError(f"input {i} must be nonnegative for the domination check")
+    return lambda_max
 
 
 class _Stencil:
@@ -415,7 +413,8 @@ def multilinear_average(fs: list[GridFunction], lam: int, cfg: OperatorConfig) -
     levels rather than abort.
     """
     _validate(fs, cfg.spec, cfg.lambda_max, cfg.linearity)
-    if not isinstance(lam, int) or not cfg.lambda_min <= lam <= cfg.lambda_max:
+    lam = _as_int(lam, "lam", None)
+    if not cfg.lambda_min <= lam <= cfg.lambda_max:
         raise ParameterError(f"lam={lam!r} outside [{cfg.lambda_min}, {cfg.lambda_max}]")
     norms = _norm_factors(cfg.spec, cfg.linearity, cfg.normalization, lam)
     if cfg.normalization is Normalization.EXACT and norms[lam] == 0.0:
@@ -442,7 +441,7 @@ def hl_maximal(f: GridFunction, spec: SphereSpec, lambda_max: int) -> GridFuncti
 
     M(f)(x) = max_{1 <= lam <= lambda_max} lam^(-d/k) * sum_{|u|^k <= lam} |f(x-u)|.
     """
-    _validate([f], spec, lambda_max)
+    lambda_max = _validate([f], spec, lambda_max)
     weights = np.arange(1, lambda_max + 1, dtype=np.float64) ** (-spec.dim / spec.degree)
     return _evaluate(
         [GridFunction(f.dim, {p: abs(v) for p, v in f.values.items()})], spec.degree, lambda_max,
@@ -456,7 +455,7 @@ def linear_spherical_maximal(g: GridFunction, spec: SphereSpec, lambda_max: int)
     S(g)(x) = max_{1 <= mu <= lambda_max} mu^(-(d/k - 1)) * |G_mu(x)|
     with G_mu the slice levels of g.
     """
-    _validate([g], spec, lambda_max)
+    lambda_max = _validate([g], spec, lambda_max)
     weights = np.arange(1, lambda_max + 1, dtype=np.float64) ** (-(spec.dim / spec.degree - 1.0))
     return _evaluate(
         [g], spec.degree, lambda_max,
@@ -481,7 +480,7 @@ def domination_check_multilinear(
     """
     if len(fs) < 2:
         raise ParameterError("domination check needs at least two input functions")
-    _validate(fs, spec, lambda_max, nonnegative=True)
+    lambda_max = _validate(fs, spec, lambda_max, nonnegative=True)
     if (len(fs) - 1) * spec.dim < spec.degree:
         raise ParameterError(
             f"domination needs (linearity-1)*dim >= degree; got "

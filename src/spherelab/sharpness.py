@@ -47,9 +47,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counts import DEFAULT_CACHE, SphereSpec, _ball_offsets
+from .counts import SphereSpec, _ball_offsets
 from .errors import AnalysisError, BudgetError, ParameterError
-from .grids import DEFAULT_SUPPORT_BUDGET, _as_point
+from .grids import DEFAULT_SUPPORT_BUDGET, _as_int, _as_point, _as_real
+from .operators import Normalization, _norm_factors
 from .reports import ExponentReport, RegionVerdict, ScanReport
 
 _EXACT_REGION_BUDGET = 200_000
@@ -69,14 +70,8 @@ class WitnessSpec:
     box_radius: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ParameterError(f"dim must be a positive integer, got {self.dim!r}")
-        if not isinstance(self.degree, int) or self.degree < 2:
-            raise ParameterError(f"degree must be >= 2, got {self.degree!r}")
-        if not isinstance(self.linearity, int) or self.linearity < 2:
-            raise ParameterError(f"linearity must be >= 2, got {self.linearity!r}")
-        if not isinstance(self.box_radius, int) or self.box_radius < 1:
-            raise ParameterError(f"box_radius must be >= 1, got {self.box_radius!r}")
+        for name, low in (("dim", 1), ("degree", 2), ("linearity", 2), ("box_radius", 1)):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, low))
 
     def decay_exponent(self) -> int:
         return self.linearity * self.dim - self.degree
@@ -84,10 +79,8 @@ class WitnessSpec:
 
 def critical_r(dim: int, degree: int, linearity: int) -> Fraction:
     """Exact l^r threshold d / (l*d - k) below which the witness norm diverges."""
-    if not (isinstance(dim, int) and isinstance(degree, int) and isinstance(linearity, int)):
-        raise ParameterError("dim, degree, linearity must be integers")
-    if dim < 1 or degree < 2 or linearity < 1:
-        raise ParameterError(f"invalid (dim, degree, linearity) = ({dim}, {degree}, {linearity})")
+    dim, degree = _as_int(dim, "dim", 1), _as_int(degree, "degree", 2)
+    linearity = _as_int(linearity, "linearity", 1)
     if linearity * dim <= degree:
         raise ParameterError(
             f"need linearity*dim > degree, got {linearity}*{dim} <= {degree}"
@@ -108,8 +101,7 @@ def r0_bound(delta0, linearity: int) -> Fraction:
     d0 = _as_fraction(delta0)
     if d0 < 0:
         raise ParameterError(f"delta0 must be >= 0, got {delta0!r}")
-    if not isinstance(linearity, int) or linearity < 1:
-        raise ParameterError(f"linearity must be an integer >= 1, got {linearity!r}")
+    linearity = _as_int(linearity, "linearity", 1)
     top = 2 + 2 * d0
     return top / ((linearity - 1) * top + (1 + 2 * d0))
 
@@ -119,8 +111,7 @@ def p0_bound(delta0, dim: int, degree: int) -> Fraction:
     d0 = _as_fraction(delta0)
     if d0 < 0:
         raise ParameterError(f"delta0 must be >= 0, got {delta0!r}")
-    if not (isinstance(dim, int) and isinstance(degree, int)):
-        raise ParameterError("dim and degree must be integers")
+    dim, degree = _as_int(dim, "dim", None), _as_int(degree, "degree", None)
     if dim <= degree:
         raise ParameterError(f"need dim > degree, got {dim} <= {degree}")
     return max(1 + 1 / (1 + 2 * d0), Fraction(dim, dim - degree))
@@ -175,7 +166,8 @@ def witness_values(points: np.ndarray, spec: WitnessSpec, *, exact: bool = False
     if exact:
         if top > _EXACT_LEVEL_BUDGET:
             raise BudgetError(f"exact witness needs level {top:.0f} > {_EXACT_LEVEL_BUDGET}")
-        table = DEFAULT_CACHE.table(SphereSpec(spec.dim * spec.linearity, k), int(top))
+        norms = _norm_factors(SphereSpec(spec.dim, k), spec.linearity, Normalization.EXACT, int(top))
+        norms[0] = 0.0      # lam = 0 (only at x = 0) weighs 0
     w = np.arange(-L, L + 1)
     expo = spec.linearity * spec.dim / k - 1.0
     records_only = not exact and expo > 0.0
@@ -210,7 +202,7 @@ def witness_values(points: np.ndarray, spec: WitnessSpec, *, exact: bool = False
             starts, counts = starts[keep], counts[keep]
         lam_vals = flat[starts]
         if exact:
-            denom = np.array([float(table.count(int(l))) if l >= 1 else 0.0 for l in lam_vals])
+            denom = norms[lam_vals]
             with np.errstate(divide="ignore", invalid="ignore"):
                 vals = np.where(denom > 0.0, counts / np.where(denom > 0.0, denom, 1.0), 0.0)
         else:
@@ -246,11 +238,12 @@ def decay_fit(
         raise ParameterError(f"direction {direction!r} does not have dimension {spec.dim}")
     if all(c == 0 for c in direction):
         raise ParameterError("direction must be nonzero")
-    t_lo, t_hi = t_range
-    if not (isinstance(t_lo, int) and isinstance(t_hi, int)) or t_lo < 1 or t_hi < t_lo:
-        raise ParameterError(f"t_range must be integers with 1 <= t_lo <= t_hi, got {t_range!r}")
-    if num_samples < 2:
-        raise ParameterError(f"num_samples must be >= 2, got {num_samples!r}")
+    try:
+        t_lo, t_hi = t_range
+    except (TypeError, ValueError):
+        raise ParameterError(f"t_range must be a pair (t_lo, t_hi), got {t_range!r}") from None
+    t_lo = _as_int(t_lo, "t_lo", 1)
+    t_hi, num_samples = _as_int(t_hi, "t_hi", t_lo), _as_int(num_samples, "num_samples", 2)
     if t_lo == t_hi:
         raise AnalysisError("degenerate t_range: a single sample point cannot be fitted")
     if t_hi < 10 * t_lo:
@@ -359,18 +352,16 @@ def partial_norm_scan(
     enumerated exactly; larger ones are sampled (seeded per region, so the
     result is independent of any execution partitioning).
     """
-    if not 0 < r < math.inf:
-        raise ParameterError(f"r must be positive and finite, got {r!r}")
+    r = _as_real(r, "r")
+    if not r > 0.0:
+        raise ParameterError(f"r must be positive, got {r!r}")
     if len(radii) < 2:
         raise ParameterError("need at least two radii")
-    if any(not isinstance(R, int) or R < 1 for R in radii):
-        raise ParameterError(f"radii must be positive integers, got {radii!r}")
+    radii = [_as_int(R, "each radius", 1) for R in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ParameterError(f"radii must be strictly increasing, got {radii!r}")
-    if not isinstance(seed, int) or seed < 0:
-        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
-    if exact_budget < 0 or samples_per_region < 1:
-        raise ParameterError("exact_budget must be >= 0 and samples_per_region >= 1")
+    seed, exact_budget = _as_int(seed, "seed", 0), _as_int(exact_budget, "exact_budget", 0)
+    samples_per_region = _as_int(samples_per_region, "samples_per_region", 1)
     edges = [0.0] + [float(R) for R in radii]
     region_sums: list[float] = []
     modes: list[str] = []
@@ -396,8 +387,8 @@ def partial_norm_scan(
     shell_sums = region_sums[1:]
     ratios = [b / a for a, b in zip(shell_sums, shell_sums[1:])]
     return ScanReport(
-        r=float(r),
-        radii=list(radii),
+        r=r,
+        radii=radii,
         partial_norms=partial,
         shell_sums=shell_sums,
         ratios=ratios,
@@ -416,8 +407,7 @@ def region_classify(p, q, r, dim: int) -> RegionVerdict:
     UNKNOWN:   endpoints p = 1 or q = 1, dimensions 3-4 (different methods
                give r > d/(d-2) there), dim < 3, or 1/p + 1/q < 1/r.
     """
-    if not isinstance(dim, int) or dim < 1:
-        raise ParameterError(f"dim must be a positive integer, got {dim!r}")
+    dim = _as_int(dim, "dim", 1)
     pf, qf, rf = _as_fraction(p), _as_fraction(q), _as_fraction(r)
     if pf <= 0 or qf <= 0 or rf <= 0:
         raise ParameterError(f"p, q, r must be positive, got ({p!r}, {q!r}, {r!r})")

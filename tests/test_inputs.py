@@ -1,0 +1,141 @@
+"""The input rules: every integer parameter is read by grids._as_int, real values by _as_real.
+
+An int, bool or numpy integer is an integer and is stored as a Python int; a float, a str or
+None is refused with ParameterError, never truncated or left to fail later with a TypeError.
+"""
+
+import ast
+import pathlib
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import spherelab
+from spherelab import (
+    GridFunction,
+    OperatorConfig,
+    ParameterError,
+    SphereSpec,
+    WitnessSpec,
+    critical_r,
+    decay_fit,
+    domination_check,
+    enumerate_shell,
+    hl_maximal,
+    joint_count,
+    linear_spherical_maximal,
+    make_box_indicator,
+    make_delta,
+    multilinear_average,
+    p0_bound,
+    partial_norm_scan,
+    r0_bound,
+    region_classify,
+    rep_counts,
+)
+
+W = WitnessSpec(5, 2, 2, 1)
+AXIS = (1, 0, 0, 0, 0)
+PLANE = SphereSpec(2, 2)
+BOX = make_box_indicator(2, 1)
+
+# (entry point and parameter, the call with that parameter set to v, a valid v)
+INTEGER_PARAMETERS = [
+    ("SphereSpec.dim", lambda v: SphereSpec(v, 2), 3),
+    ("SphereSpec.degree", lambda v: SphereSpec(3, v), 3),
+    ("WitnessSpec.dim", lambda v: WitnessSpec(v, 2, 2, 1), 5),
+    ("WitnessSpec.degree", lambda v: WitnessSpec(5, v, 2, 1), 2),
+    ("WitnessSpec.linearity", lambda v: WitnessSpec(5, 2, v, 1), 3),
+    ("WitnessSpec.box_radius", lambda v: WitnessSpec(5, 2, 2, v), 2),
+    ("OperatorConfig.linearity", lambda v: OperatorConfig(PLANE, v, 4), 2),
+    ("OperatorConfig.lambda_max", lambda v: OperatorConfig(PLANE, 2, v), 4),
+    ("OperatorConfig.lambda_min", lambda v: OperatorConfig(PLANE, 2, 4, lambda_min=v), 2),
+    ("rep_counts.lambda_max", lambda v: rep_counts(SphereSpec(3, 3), v), 40),
+    ("RepCountTable.count", lambda v: rep_counts(PLANE, 10).count(v), 5),
+    ("joint_count.linearity", lambda v: joint_count(PLANE, v, 10), 2),
+    ("joint_count.lam", lambda v: joint_count(PLANE, 2, v), 10),
+    ("enumerate_shell.lam", lambda v: enumerate_shell(SphereSpec(3, 2), v), 9),
+    ("GridFunction.dim", lambda v: GridFunction(v, {(0, 1): 2.0}), 2),
+    ("make_delta.dim", make_delta, 3),
+    ("make_box_indicator.dim", lambda v: make_box_indicator(v, 1), 2),
+    ("make_box_indicator.radius", lambda v: make_box_indicator(2, v), 2),
+    ("hl_maximal.lambda_max", lambda v: hl_maximal(BOX, PLANE, v), 5),
+    ("linear_spherical_maximal.lambda_max",
+     lambda v: linear_spherical_maximal(BOX, SphereSpec(2, 3), v), 9),
+    ("domination_check.lambda_max", lambda v: domination_check(BOX, BOX, PLANE, v), 4),
+    ("multilinear_average.lam",
+     lambda v: multilinear_average([BOX, BOX], v, OperatorConfig(PLANE, 2, 4)), 2),
+    ("critical_r.dim", lambda v: critical_r(v, 2, 2), 5),
+    ("critical_r.degree", lambda v: critical_r(5, v, 2), 3),
+    ("critical_r.linearity", lambda v: critical_r(5, 2, v), 3),
+    ("r0_bound.linearity", lambda v: r0_bound(Fraction(1, 2), v), 2),
+    ("p0_bound.dim", lambda v: p0_bound(0, v, 2), 5),
+    ("p0_bound.degree", lambda v: p0_bound(0, 5, v), 3),
+    ("decay_fit.t_lo", lambda v: decay_fit(W, AXIS, (v, 200), num_samples=8), 10),
+    ("decay_fit.t_hi", lambda v: decay_fit(W, AXIS, (10, v), num_samples=8), 200),
+    ("decay_fit.num_samples", lambda v: decay_fit(W, AXIS, (10, 200), num_samples=v), 8),
+    ("partial_norm_scan.radius", lambda v: partial_norm_scan(W, 0.7, [v, 4]), 2),
+    ("partial_norm_scan.seed",
+     lambda v: partial_norm_scan(W, 0.7, [2, 40], seed=v, samples_per_region=50), 7),
+    ("partial_norm_scan.exact_budget",
+     lambda v: partial_norm_scan(W, 0.7, [2, 4], exact_budget=v), 1000),
+    ("partial_norm_scan.samples_per_region",
+     lambda v: partial_norm_scan(W, 0.7, [2, 4], exact_budget=0, samples_per_region=v), 50),
+    ("region_classify.dim", lambda v: region_classify(2, 2, 1, v), 5),
+]
+
+
+@pytest.mark.parametrize("call, good", [case[1:] for case in INTEGER_PARAMETERS],
+                         ids=[case[0] for case in INTEGER_PARAMETERS])
+def test_integer_parameters_follow_one_rule(call, good):
+    for bad in (float(good), str(good), None):
+        with pytest.raises(ParameterError):
+            call(bad)
+    want, got = call(good), call(np.int64(good))
+    assert got == want and repr(got) == repr(want)
+
+
+def test_t_range_must_be_a_pair():
+    for bad in ((10,), (10, 200, 300), 10, None):
+        with pytest.raises(ParameterError, match="t_range must be a pair"):
+            decay_fit(W, AXIS, bad)
+
+
+def test_scan_radii_are_python_ints():
+    want = partial_norm_scan(W, 0.7, [2, 4])
+    for radii in ((2, 4), np.array([2, 4]), np.array([2, 4], dtype=np.int32)):
+        got = partial_norm_scan(W, 0.7, radii)
+        assert got == want and all(type(R) is int for R in got.radii)
+
+
+def test_joint_count_names_lam():
+    with pytest.raises(ParameterError, match="lam must be an integer, got 4.0"):
+        joint_count(PLANE, 2, 4.0)
+
+
+def test_scan_r_is_read_once_as_a_float():
+    want = repr(partial_norm_scan(W, 0.7, [3, 6]))
+    for r in (Fraction(7, 10), np.float64(0.7)):
+        assert repr(partial_norm_scan(W, r, [3, 6])) == want
+    for bad in ("0.7", b"0.7", np.array("0.7"), None, -0.7, 0):
+        with pytest.raises(ParameterError):
+            partial_norm_scan(W, bad, [3, 6])
+
+
+def test_no_hand_written_integer_checks():
+    # an isinstance(<x>, int) check outside grids._as_int is a second integer rule: it refuses
+    # numpy integers, which every coordinate and parameter accepts
+    found = []
+    for path in sorted(pathlib.Path(spherelab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "_as_int"
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and any(isinstance(n, ast.Name) and n.id == "int" for n in ast.walk(node.args[1]))
+                    and id(node) not in allowed):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -222,6 +223,29 @@ def test_witness_exact_normalization_mode():
     a = witness_value((3, 1, 0, 0, 0), W5)
     e = witness_value((3, 1, 0, 0, 0), W5, exact=True)
     assert a > 0 and e > 0
+
+
+@pytest.mark.parametrize("spec", [WitnessSpec(3, 2, 2, 1), WitnessSpec(3, 3, 3, 2), W5],
+                         ids=lambda spec: f"d{spec.dim}k{spec.degree}l{spec.linearity}L{spec.box_radius}")
+def test_exact_witness_equals_per_level_table_lookups_bitwise(spec):
+    # the reference looks each level up in the count table: count / N(level), or 0 at level 0
+    # and on an empty sphere, maximised over the levels; gathering N must give the same bytes
+    rng = np.random.default_rng(11)
+    pts = np.concatenate([np.zeros((1, spec.dim), dtype=np.int64),
+                          rng.integers(-6, 7, size=(60, spec.dim))])
+    k, ell, L = spec.degree, spec.linearity, spec.box_radius
+    top = max((ell - 1) * sum(abs(c) ** k for c in x) + sum((abs(c) + L) ** k for c in x)
+              for x in pts.tolist())
+    table = rep_counts(SphereSpec(spec.dim * ell, k), top)
+    want = []
+    for x in pts.tolist():
+        base = (ell - 1) * sum(abs(c) ** k for c in x)
+        levels = collections.Counter(
+            base + sum(abs(c - wc) ** k for c, wc in zip(x, w))
+            for w in itertools.product(range(-L, L + 1), repeat=spec.dim))
+        want.append(max(c / float(table.count(lev)) if lev >= 1 and table.count(lev) else 0.0
+                        for lev, c in levels.items()))
+    assert witness_values(pts, spec, exact=True).tobytes() == np.array(want).tobytes()
 
 
 def test_witness_agrees_with_truncated_operator():
