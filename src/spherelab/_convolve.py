@@ -133,9 +133,7 @@ def convolve_trunc(a: list[int], b: list[int], n_out: int) -> list[int]:
     """
     nnz_a = len(a) - a.count(0)
     nnz_b = len(b) - b.count(0)
-    if nnz_a == 0 or nnz_b == 0 or n_out == 0:
-        return [0] * n_out
-    if nnz_a * nnz_b <= _SPARSE_PAIRS_PER_COEFF * n_out + _SPARSE_FIXED_PAIRS:
+    if n_out == 0 or nnz_a * nnz_b <= _SPARSE_PAIRS_PER_COEFF * n_out + _SPARSE_FIXED_PAIRS:
         return _convolve_sparse(a, b, n_out)
     w = len(str(min(sum(a) * max(b), sum(b) * max(a)))) + 1
     if n_out * w > _DIGIT_BUDGET:

@@ -134,6 +134,12 @@ def random_sparse_function(rng, dim: int, *, nonnegative: bool, max_support: int
 # experiments
 # ---------------------------------------------------------------------------
 
+def _fit_row(key: str, value: int, report, expect: float, tol: float) -> dict:
+    """A fitted slope gated at |slope - expect| <= tol, keyed by what was fitted."""
+    return {key: value, "slope": report.fitted_slope, "expected": expect, "tolerance": tol,
+            "residual": report.residual, "ok": abs(report.fitted_slope - expect) <= tol}
+
+
 def experiment_1() -> tuple[str, bool, dict]:
     """Count-oracle equivalence and the exact convolution identity."""
     mismatches = []
@@ -170,23 +176,11 @@ def experiment_2() -> tuple[str, bool, dict]:
     lam_max = 2**17
     window = (2**10, 2**17)
     rows = []
-    passed = True
     for m, expect, tol in ((10, 4.0, 0.05), (6, 2.0, 0.05)):
         report = growth_exponent_fit(rep_counts(SphereSpec(m, 2), lam_max), window)
-        ok = abs(report.fitted_slope - expect) <= tol
-        passed = passed and ok
-        rows.append(
-            {
-                "dimension": m,
-                "slope": report.fitted_slope,
-                "expected": expect,
-                "tolerance": tol,
-                "residual": report.residual,
-                "ok": ok,
-            }
-        )
+        rows.append(_fit_row("dimension", m, report, expect, tol))
     payload = {"lambda_max": lam_max, "window": list(window), "fits": rows}
-    return "growth exponent, dimensions 10 and 6", passed, payload
+    return "growth exponent, dimensions 10 and 6", all(row["ok"] for row in rows), payload
 
 
 def experiment_3() -> tuple[str, bool, dict]:
@@ -257,19 +251,16 @@ def experiment_4() -> tuple[str, bool, dict]:
     spec = SphereSpec(5, 2)
     lam_max = 50
     rows = []
-    passed = True
     for name_f, f, name_g, g in _domination_pairs(rng):
         for fn, fv, gn, gv in ((name_f, f, name_g, g), (name_g, g, name_f, f)):
             rep = domination_check(fv, gv, spec, lam_max)
-            ok = rep.max_violation <= 1e-9
-            passed = passed and ok
             rows.append(
                 {
                     "f": fn,
                     "g": gn,
                     "max_violation": rep.max_violation,
                     "points_checked": rep.points_checked,
-                    "ok": ok,
+                    "ok": rep.max_violation <= 1e-9,
                 }
             )
     payload = {
@@ -279,30 +270,18 @@ def experiment_4() -> tuple[str, bool, dict]:
         "tolerance": 1e-9,
         "checks": rows,
     }
-    return "pointwise domination, both orders", passed, payload
+    return "pointwise domination, both orders", all(row["ok"] for row in rows), payload
 
 
 def experiment_5() -> tuple[str, bool, dict]:
     """Witness decay exponents along e_1 for degrees 2 and 3."""
     rows = []
-    passed = True
     for k, expect, tol in ((2, -8.0, 0.2), (3, -7.0, 0.3)):
         spec = WitnessSpec(dim=5, degree=k, linearity=2, box_radius=1)
-        rep = decay_fit(spec, (1, 0, 0, 0, 0), (10, 2000))
-        ok = abs(rep.fitted_slope - expect) <= tol
-        passed = passed and ok
-        rows.append(
-            {
-                "degree": k,
-                "slope": rep.fitted_slope,
-                "expected": expect,
-                "tolerance": tol,
-                "residual": rep.residual,
-                "ok": ok,
-            }
-        )
+        report = decay_fit(spec, (1, 0, 0, 0, 0), (10, 2000))
+        rows.append(_fit_row("degree", k, report, expect, tol))
     payload = {"ray": [1, 0, 0, 0, 0], "t_range": [10, 2000], "fits": rows}
-    return "witness decay exponents", passed, payload
+    return "witness decay exponents", all(row["ok"] for row in rows), payload
 
 
 def experiment_6() -> tuple[str, bool, dict]:
@@ -315,12 +294,9 @@ def experiment_6() -> tuple[str, bool, dict]:
     radii = [128, 256, 512, 1024, 2048]
     spec = WitnessSpec(dim=5, degree=2, linearity=2, box_radius=1)
     rows = []
-    passed = True
     for r_exp, band, prediction in ((0.7, (0.55, 0.75), 2.0 ** (5 - 8 * 0.7)),
                                     (0.625, (0.85, 1.15), 1.0)):
         scan = partial_norm_scan(spec, r_exp, radii, seed=ACCEPTANCE_SEED)
-        ok = all(band[0] <= x <= band[1] for x in scan.ratios)
-        passed = passed and ok
         rows.append(
             {
                 "r": r_exp,
@@ -329,11 +305,11 @@ def experiment_6() -> tuple[str, bool, dict]:
                 "shell_sums": scan.shell_sums,
                 "ratios": scan.ratios,
                 "region_modes": scan.region_modes,
-                "ok": ok,
+                "ok": all(band[0] <= x <= band[1] for x in scan.ratios),
             }
         )
     payload = {"radii": radii, "seed": ACCEPTANCE_SEED, "scans": rows}
-    return "shell-ratio dichotomy at the critical exponent", passed, payload
+    return "shell-ratio dichotomy at the critical exponent", all(row["ok"] for row in rows), payload
 
 
 REGION_PROBES: list[tuple[float | str, float | str, float | str, int, str]] = [

@@ -170,20 +170,14 @@ def _cmd_shell(args) -> int:
     return 0
 
 
-def _operator_inputs(args) -> list[GridFunction]:
-    fns = [_load_function(s, args.dim) for s in args.fn]
-    if len(fns) != args.linearity:
-        raise ParameterError(f"expected {args.linearity} --fn inputs, got {len(fns)}")
-    return fns
-
-
 def _cmd_avg(args) -> int:
     spec = SphereSpec(args.dim, args.degree)
     cfg = OperatorConfig(spec, args.linearity, getattr(args, "lambda"),
                          Normalization(args.normalization), args.lambda_min)
+    fns = [_load_function(s, args.dim) for s in args.fn]
     with warnings.catch_warnings():
         warnings.simplefilter("always")
-        result = multilinear_average(_operator_inputs(args), getattr(args, "lambda"), cfg)
+        result = multilinear_average(fns, getattr(args, "lambda"), cfg)
     _emit(_text(write_grid_text, result), args.out)
     return 0
 
@@ -192,7 +186,7 @@ def _cmd_maxop(args) -> int:
     spec = SphereSpec(args.dim, args.degree)
     cfg = OperatorConfig(spec, args.linearity, args.lambda_max,
                          Normalization(args.normalization), args.lambda_min)
-    result = multilinear_maximal(_operator_inputs(args), cfg)
+    result = multilinear_maximal([_load_function(s, args.dim) for s in args.fn], cfg)
     _emit(_text(write_grid_text, result), args.out)
     return 0
 

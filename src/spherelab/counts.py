@@ -35,7 +35,7 @@ import numpy as np
 
 from ._convolve import power_trunc
 from .errors import AnalysisError, BudgetError, ParameterError, RangeError
-from .grids import DEFAULT_SUPPORT_BUDGET, _as_int
+from .grids import DEFAULT_SUPPORT_BUDGET, _as_int, _as_point
 from .reports import ExponentReport
 
 
@@ -268,11 +268,10 @@ def growth_exponent_fit(table: RepCountTable, window: tuple[int, int]) -> Expone
     Counts are averaged over each block [2^j, 2^(j+1)) before fitting;
     the expected slope for dimension m, degree k is m/k - 1.
     """
+    window = _as_point(window, "window")
+    if len(window) != 2 or not 1 <= window[0] <= window[1] <= table.lambda_max:
+        raise ParameterError(f"window {window} must be a pair 1 <= lo <= hi <= {table.lambda_max}")
     lo, hi = window
-    if lo < 1 or hi > table.lambda_max or lo > hi:
-        raise ParameterError(
-            f"window [{lo}, {hi}] must satisfy 1 <= lo <= hi <= {table.lambda_max}"
-        )
     blocks = _dyadic_blocks(lo, hi)
     if len(blocks) < 2:
         raise ParameterError(f"window [{lo}, {hi}] spans {len(blocks)} dyadic blocks; need >= 2")

@@ -10,8 +10,8 @@ values are rejected on construction, and support points are handed out in
 sorted order, so every accumulation over a support has a fixed order.
 
 Three rules read points, integer parameters and real values, raising ParameterError:
-_as_point a point, _as_int an integer and its lower bound (an int, bool or numpy
-integer, never a float or str), _as_real a real value (finite, never text).
+_as_point a point or other integer sequence, _as_int an integer and its lower bound (an int,
+bool or numpy integer, never a float or str), _as_real a real value (finite, never text).
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ _TEXT = (str, bytes, bytearray, memoryview)
 Point = tuple[int, ...]
 
 
-def _as_point(p) -> Point:
-    """p as a tuple of ints: int, bool and numpy integer coordinates pass, a float or str raises
-    ParameterError instead of being truncated."""
+def _as_point(p, noun: str = "point") -> Point:
+    """p as a tuple of ints: int, bool and numpy integer entries pass, a float or str raises
+    ParameterError, naming the sequence by noun, instead of being truncated."""
     try:
         return tuple(map(operator.index, p))
     except TypeError:
-        raise ParameterError(f"point {p!r} does not have integer coordinates") from None
+        raise ParameterError(f"{noun} {p!r} is not a sequence of integers") from None
 
 
 def _as_int(value, name: str, low: int | None) -> int:
@@ -113,10 +113,8 @@ class GridFunction:
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(points (N,d) int64, values (N,) float64), lexicographic rows."""
-        if not self._values:
-            return np.zeros((0, self.dim), dtype=np.int64), np.zeros(0)
         items = self.items_sorted()
-        pts = np.array([p for p, _ in items], dtype=np.int64)
+        pts = np.array([p for p, _ in items], dtype=np.int64).reshape(-1, self.dim)
         vals = np.array([v for _, v in items], dtype=np.float64)
         return pts, vals
 

@@ -203,8 +203,7 @@ def witness_values(points: np.ndarray, spec: WitnessSpec, *, exact: bool = False
         lam_vals = flat[starts]
         if exact:
             denom = norms[lam_vals]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = np.where(denom > 0.0, counts / np.where(denom > 0.0, denom, 1.0), 0.0)
+            vals = np.where(denom > 0.0, counts / np.where(denom > 0.0, denom, 1.0), 0.0)
         else:
             lamf = lam_vals.astype(np.float64)
             pos = lamf >= 1.0
@@ -233,7 +232,7 @@ def decay_fit(
 
     Expected slope is -(l*d - k); samples are log-spaced integers in t_range.
     """
-    direction = _as_point(direction)
+    direction = _as_point(direction, "direction")
     if len(direction) != spec.dim:
         raise ParameterError(f"direction {direction!r} does not have dimension {spec.dim}")
     if all(c == 0 for c in direction):
@@ -355,9 +354,9 @@ def partial_norm_scan(
     r = _as_real(r, "r")
     if not r > 0.0:
         raise ParameterError(f"r must be positive, got {r!r}")
+    radii = [_as_int(R, "each radius", 1) for R in _as_point(radii, "radii")]
     if len(radii) < 2:
         raise ParameterError("need at least two radii")
-    radii = [_as_int(R, "each radius", 1) for R in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ParameterError(f"radii must be strictly increasing, got {radii!r}")
     seed, exact_budget = _as_int(seed, "seed", 0), _as_int(exact_budget, "exact_budget", 0)
@@ -411,10 +410,8 @@ def region_classify(p, q, r, dim: int) -> RegionVerdict:
     pf, qf, rf = _as_fraction(p), _as_fraction(q), _as_fraction(r)
     if pf <= 0 or qf <= 0 or rf <= 0:
         raise ParameterError(f"p, q, r must be positive, got ({p!r}, {q!r}, {r!r})")
-    if 2 * dim - 2 <= 0:
-        raise ParameterError(f"dim {dim} gives a degenerate critical exponent")
     r_disp = repr(r) if isinstance(r, float) else str(rf)
-    crit = Fraction(dim, 2 * dim - 2)
+    crit = critical_r(dim, 2, 2)
     if rf <= crit:
         reason = f"r = {r_disp} <= d/(2d-2) = {crit}: witness l^r norm diverges"
         if rf == crit:

@@ -194,6 +194,11 @@ def test_exit_code_parameter_error(capsys):
     code, _, err = run_cli(["count", "--dim", "0", "--degree", "2", "--lambda-max", "5"], capsys)
     assert code == 2
     assert "error (parameters)" in err
+    code, _, err = run_cli(["witness", "--dim", "2", "--point", "1,x"], capsys)
+    assert code == 2 and "bad integer list '1,x'" in err
+    # a wrong --fn count reads the operators' own check
+    code, _, err = run_cli(["avg", "--dim", "1", "--lambda", "2", "--fn", "delta"], capsys)
+    assert code == 2 and "error (parameters): expected 2 input functions, got 1" in err
 
 
 def test_exit_code_budget_error(capsys):

@@ -78,6 +78,8 @@ def test_parameter_errors():
         SphereSpec(2, 1)
     with pytest.raises(ParameterError):
         rep_counts(SphereSpec(2, 2), -1)
+    with pytest.raises(ParameterError):
+        kth_root_floor(-1, 2)
 
 
 def test_joint_count_matches_examples():
@@ -163,6 +165,13 @@ def test_dense_convolution_matches_brute(case):
         assert got[n_out - 1] == min(sum(a) * max(b), sum(b) * max(a))
 
 
+def test_convolution_with_a_zero_operand_or_no_output_coefficients():
+    # both go by the sparse path, a dense-sized pair too when n_out is 0
+    assert convolve_trunc([0, 0], [1, 2], 3) == [0, 0, 0]
+    assert convolve_trunc([1, 2], [1, 2], 0) == []
+    assert convolve_trunc([1] * 100, [1] * 100, 0) == []
+
+
 def _sparse_square_weights(n_out, seed):
     """Random weights on the squares below n_out: the first steps of a power are sparse."""
     rng = random.Random(seed)
@@ -220,6 +229,8 @@ def test_count_table_working_memory_is_bounded():
 def test_joint_count_range_error():
     with pytest.raises(RangeError):
         joint_count(SphereSpec(2, 2), 2, -3)
+    with pytest.raises(RangeError):
+        rep_counts(SphereSpec(2, 2), 10).count(11)
 
 
 def test_kth_root_floor_exact():
@@ -279,6 +290,8 @@ def test_shell_budget(monkeypatch):
     # shell --dim 10 --lambda 100000 is tested in a child process, under a memory limit
     with pytest.raises(BudgetError):
         enumerate_shell(SphereSpec(2, 40), 2**62)       # levels near int64
+    with pytest.raises(BudgetError, match="20000001 points"):
+        enumerate_shell(SphereSpec(2, 2), 10**14)       # the first axis alone
     assert len(enumerate_shell(SphereSpec(2, 40), 2**62 - 1).points) == 0
     # r_4(100) = 744 points, from two 317-point half-balls
     monkeypatch.setattr("spherelab.counts.DEFAULT_SUPPORT_BUDGET", 744)

@@ -96,6 +96,12 @@ def test_value_point_must_be_integers():
         f.value((1.7, 2.2))       # int() would read f(1, 2)
 
 
+def test_empty_function_arrays_keep_their_shapes_and_dtypes():
+    pts, vals = GridFunction(3, {}).arrays()
+    assert pts.shape == (0, 3) and pts.dtype == np.int64
+    assert vals.shape == (0,) and vals.dtype == np.float64
+
+
 def test_immutability():
     f = make_delta(2)
     with pytest.raises(AttributeError):

@@ -1,4 +1,5 @@
-"""The input rules: every integer parameter is read by grids._as_int, real values by _as_real.
+"""The input rules: every integer parameter is read by grids._as_int, points and the radii and
+window sequences by _as_point, real values by _as_real.
 
 An int, bool or numpy integer is an integer and is stored as a Python int; a float, a str or
 None is refused with ParameterError, never truncated or left to fail later with a TypeError.
@@ -22,6 +23,7 @@ from spherelab import (
     decay_fit,
     domination_check,
     enumerate_shell,
+    growth_exponent_fit,
     hl_maximal,
     joint_count,
     linear_spherical_maximal,
@@ -39,6 +41,7 @@ W = WitnessSpec(5, 2, 2, 1)
 AXIS = (1, 0, 0, 0, 0)
 PLANE = SphereSpec(2, 2)
 BOX = make_box_indicator(2, 1)
+TABLE = rep_counts(SphereSpec(4, 2), 1024)
 
 # (entry point and parameter, the call with that parameter set to v, a valid v)
 INTEGER_PARAMETERS = [
@@ -83,6 +86,7 @@ INTEGER_PARAMETERS = [
     ("partial_norm_scan.samples_per_region",
      lambda v: partial_norm_scan(W, 0.7, [2, 4], exact_budget=0, samples_per_region=v), 50),
     ("region_classify.dim", lambda v: region_classify(2, 2, 1, v), 5),
+    ("growth_exponent_fit.window", lambda v: growth_exponent_fit(TABLE, (v, 1024)), 16),
 ]
 
 
@@ -107,6 +111,14 @@ def test_scan_radii_are_python_ints():
     for radii in ((2, 4), np.array([2, 4]), np.array([2, 4], dtype=np.int32)):
         got = partial_norm_scan(W, 0.7, radii)
         assert got == want and all(type(R) is int for R in got.radii)
+
+
+def test_growth_window_is_a_pair_of_integers():
+    for bad in ((16.5, 1024), (16,), (16, 1024, 2048), "ab", None):
+        with pytest.raises(ParameterError, match="window"):
+            growth_exponent_fit(TABLE, bad)
+    want = growth_exponent_fit(TABLE, (16, 1024))
+    assert growth_exponent_fit(TABLE, (np.int64(16), np.int64(1024))) == want
 
 
 def test_joint_count_names_lam():

@@ -761,3 +761,9 @@ def test_config_validation():
         multilinear_average([make_delta(2)], 5, OperatorConfig(spec, 2, 10))
     with pytest.raises(ParameterError):
         multilinear_average([make_delta(2), make_delta(3)], 5, OperatorConfig(spec, 2, 10))
+    with pytest.raises(ParameterError):
+        OperatorConfig(spec, 2, 4, "exact")     # a name, not a Normalization
+    with pytest.raises(ParameterError):
+        multilinear_average([make_delta(2)] * 2, 5, OperatorConfig(spec, 2, 4))
+    with pytest.raises(ParameterError):
+        operators.domination_check_multilinear([make_delta(2)], spec, 4)

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,8 @@ def test_p0_examples():
     assert p0_bound(Fraction(1, 2), 5, 2) == Fraction(5, 3)
     with pytest.raises(ParameterError):
         p0_bound(0, 3, 3)
+    with pytest.raises(ParameterError):
+        p0_bound(-1, 5, 2)
 
 
 def test_witness_point_examples():
@@ -225,14 +228,9 @@ def test_witness_exact_normalization_mode():
     assert a > 0 and e > 0
 
 
-@pytest.mark.parametrize("spec", [WitnessSpec(3, 2, 2, 1), WitnessSpec(3, 3, 3, 2), W5],
-                         ids=lambda spec: f"d{spec.dim}k{spec.degree}l{spec.linearity}L{spec.box_radius}")
-def test_exact_witness_equals_per_level_table_lookups_bitwise(spec):
-    # the reference looks each level up in the count table: count / N(level), or 0 at level 0
-    # and on an empty sphere, maximised over the levels; gathering N must give the same bytes
-    rng = np.random.default_rng(11)
-    pts = np.concatenate([np.zeros((1, spec.dim), dtype=np.int64),
-                          rng.integers(-6, 7, size=(60, spec.dim))])
+def _exact_witness_reference(pts, spec):
+    """Each level looked up in the count table: count / N(level), or 0 at level 0 and on an
+    empty sphere, maximised over the levels of each row."""
     k, ell, L = spec.degree, spec.linearity, spec.box_radius
     top = max((ell - 1) * sum(abs(c) ** k for c in x) + sum((abs(c) + L) ** k for c in x)
               for x in pts.tolist())
@@ -245,7 +243,33 @@ def test_exact_witness_equals_per_level_table_lookups_bitwise(spec):
             for w in itertools.product(range(-L, L + 1), repeat=spec.dim))
         want.append(max(c / float(table.count(lev)) if lev >= 1 and table.count(lev) else 0.0
                         for lev, c in levels.items()))
-    assert witness_values(pts, spec, exact=True).tobytes() == np.array(want).tobytes()
+    return np.array(want)
+
+
+EXACT_SPECS = pytest.mark.parametrize(
+    "spec", [WitnessSpec(3, 2, 2, 1), WitnessSpec(3, 3, 3, 2), W5],
+    ids=lambda spec: f"d{spec.dim}k{spec.degree}l{spec.linearity}L{spec.box_radius}")
+
+
+@EXACT_SPECS
+def test_exact_witness_equals_per_level_table_lookups_bitwise(spec):
+    # gathering N(level) from the float table must give the reference's bytes
+    rng = np.random.default_rng(11)
+    pts = np.concatenate([np.zeros((1, spec.dim), dtype=np.int64),
+                          rng.integers(-6, 7, size=(60, spec.dim))])
+    want = _exact_witness_reference(pts, spec)
+    assert witness_values(pts, spec, exact=True).tobytes() == want.tobytes()
+
+
+@EXACT_SPECS
+def test_exact_witness_at_the_origin_raises_no_float_warning(spec):
+    # x = 0 is the only row with a weight-0 level (lam = 0): every other candidate level is a sum
+    # of l*d k-th powers, so N(lam) >= 1 there, and the weight-0 divisor is replaced before dividing
+    origin = np.zeros((1, spec.dim), dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = witness_values(origin, spec, exact=True)
+    assert got.tobytes() == _exact_witness_reference(origin, spec).tobytes()
 
 
 def test_witness_agrees_with_truncated_operator():
@@ -292,6 +316,10 @@ def test_decay_fit_errors():
         decay_fit(W5, (1, 0, 0, 0, 0), (10, 50))
     with pytest.raises(ParameterError):
         decay_fit(W5, (1.7, 0, 0, 0, 0), (10, 2000))      # int() would fit along (1, 0, ...)
+    with pytest.raises(ParameterError, match="dimension 5"):
+        decay_fit(W5, (1, 1), (10, 2000))
+    with pytest.raises(AnalysisError, match="vanished"):     # every value underflows to 0.0
+        decay_fit(WitnessSpec(10, 2, 60, 1), (1,) + (0,) * 9, (10, 2000))
 
 
 @pytest.mark.parametrize("spec", [
@@ -373,6 +401,11 @@ def test_norm_scan_parameter_errors():
         partial_norm_scan(W5, 0.7, [8, 16], seed=-1)
     with pytest.raises(ParameterError):
         partial_norm_scan(W5, 0.7, [8, 16], samples_per_region=0)
+    for radii in (5, None):
+        with pytest.raises(ParameterError, match="radii"):
+            partial_norm_scan(W5, 0.7, radii)
+    with pytest.raises(BudgetError, match="too large"):     # class keys would leave int64
+        partial_norm_scan(W5, 0.7, [1, 10**4], exact_budget=10**30)
     for r in (math.inf, math.nan):
         with pytest.raises(ParameterError):
             partial_norm_scan(W5, r, [8, 16])
@@ -393,6 +426,8 @@ def test_region_equality_notes_convention():
 def test_region_low_dimensions_unknown():
     assert region_classify(2, 2, 1, 4).verdict == "UNKNOWN"
     assert region_classify(2, 2, 1, 3).verdict == "UNKNOWN"
+    verdict = region_classify(4, 4, 2, 2)
+    assert verdict.verdict == "UNKNOWN" and "dim 2 < 3" in verdict.reason
 
 
 def test_region_holder_deficient_unknown():
@@ -417,6 +452,8 @@ def test_region_rejects_bad_exponents():
         region_classify(0, 2, 1, 5)
     with pytest.raises(ParameterError):
         region_classify(2, 2, -1, 5)
+    with pytest.raises(ParameterError):
+        region_classify(2, 2, 1, 1)     # d/(2d-2) has no value in Z^1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1/0", "abc", None])
