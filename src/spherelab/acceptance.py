@@ -3,8 +3,8 @@
 Every experiment returns (name, passed, payload) with a fully
 deterministic payload dict (fixed seeds, no timestamps, no timings), so
 serialized reports are byte-identical across reruns and worker counts.
-run_experiment builds each ExperimentResult and times the call; the elapsed
-time is carried next to the payload, never inside it.
+The CLI's `accept` times each call and writes the elapsed time to stderr,
+never into the payload.
 
 The brute-force oracles below are the only copies in the project: the test
 suite and the benchmark reach them through tests/oracles.py.  They are
@@ -17,9 +17,7 @@ sphere in Z^(l*d) directly.
 from __future__ import annotations
 
 import itertools
-import time
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -37,19 +35,6 @@ from .operators import (
 from .sharpness import WitnessSpec, critical_r, decay_fit, p0_bound, partial_norm_scan, r0_bound, region_classify
 
 ACCEPTANCE_SEED = 20250808
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    number: int
-    name: str
-    passed: bool
-    payload: dict
-    elapsed_seconds: float
-
-    def headline(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status}  criterion {self.number}: {self.name}"
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +182,9 @@ def experiment_3() -> tuple[str, bool, dict]:
         spec = SphereSpec(d, k)
         fs = [random_sparse_function(rng, d, nonnegative=False, max_support=6,
                                      coord_range=3) for _ in range(ell)]
+        exact = exact and _counts.joint_count(spec, ell, lam) > 0
         cfg = OperatorConfig(spec, ell, lam,
                              Normalization.EXACT if exact else Normalization.ASYMPTOTIC)
-        if exact and _counts.joint_count(spec, ell, lam) == 0:
-            exact = False
-            cfg = OperatorConfig(spec, ell, lam, Normalization.ASYMPTOTIC)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = multilinear_average(fs, lam, cfg)
@@ -380,10 +363,3 @@ EXPERIMENTS = {
     7: experiment_7,
 }
 
-
-def run_experiment(number: int) -> ExperimentResult:
-    if number not in EXPERIMENTS:
-        raise ValueError(f"no acceptance experiment {number}; choose 1..7")
-    t0 = time.perf_counter()
-    name, passed, payload = EXPERIMENTS[number]()
-    return ExperimentResult(number, name, passed, payload, time.perf_counter() - t0)

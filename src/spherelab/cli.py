@@ -9,10 +9,10 @@ Conventions shared by all subcommands:
     rename);
   * exit codes: 0 success, 1 failed acceptance gate, 2 argument errors,
     3 budget/resource errors, 4 analysis errors (degenerate fits);
-  * --threads (fallback: the SPHERELAB_THREADS environment variable) caps
-    worker parallelism.  Every computation is defined with a fixed reduction
-    order, so outputs are byte-identical for any thread count; the current
-    implementation runs sequentially, which is one such schedule.
+  * --threads (fallback: the SPHERELAB_THREADS environment variable) is
+    resolved and echoed but changes nothing yet: every computation runs
+    sequentially.  Each has a fixed reduction order, so outputs will stay
+    byte-identical for any thread count once workers exist.
 
 Input functions for the operator subcommands are written as
   delta | box:L | file:PATH
@@ -29,6 +29,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 import warnings
 from fractions import Fraction
 
@@ -173,7 +174,7 @@ def _cmd_shell(args) -> int:
 def _cmd_avg(args) -> int:
     spec = SphereSpec(args.dim, args.degree)
     cfg = OperatorConfig(spec, args.linearity, getattr(args, "lambda"),
-                         Normalization(args.normalization), args.lambda_min)
+                         Normalization(args.normalization))
     fns = [_load_function(s, args.dim) for s in args.fn]
     with warnings.catch_warnings():
         warnings.simplefilter("always")
@@ -278,16 +279,14 @@ def _cmd_joint(args) -> int:
 
 
 def _cmd_accept(args) -> int:
-    result = _accept.run_experiment(args.experiment)
-    payload = {
-        "criterion": result.number,
-        "name": result.name,
-        "passed": result.passed,
-        "details": result.payload,
-    }
+    t0 = time.perf_counter()
+    name, passed, details = _accept.EXPERIMENTS[args.experiment]()
+    elapsed = time.perf_counter() - t0
+    payload = {"criterion": args.experiment, "name": name, "passed": passed, "details": details}
     _emit(_json_text(payload), args.out)
-    sys.stderr.write(f"{result.headline()} ({result.elapsed_seconds:.1f}s)\n")
-    return 0 if result.passed else 1
+    status = "PASS" if passed else "FAIL"
+    sys.stderr.write(f"{status}  criterion {args.experiment}: {name} ({elapsed:.1f}s)\n")
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +299,8 @@ def _add_common(sub, *, dim=True, degree=True):
     if degree:
         sub.add_argument("--degree", type=int, default=2, help="sphere degree k (default 2)")
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker cap (default: SPHERELAB_THREADS or CPU count); "
-                          "outputs never depend on it")
+                     help="thread count, echoed but not yet used (default: "
+                          "SPHERELAB_THREADS or CPU count); outputs never depend on it")
     sub.add_argument("--out", default=None, help="output file (atomic write); stdout if omitted")
 
 
@@ -349,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.add_argument("--linearity", type=int, default=2)
     s.add_argument("--lambda", type=int, required=True)
-    s.add_argument("--lambda-min", type=int, default=1)
     s.add_argument("--normalization", default="exact", choices=("exact", "asymptotic"))
     add_fn_inputs(s, multiple=True)
     s.set_defaults(func=_cmd_avg)
@@ -435,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("accept", help="run one numbered acceptance experiment (1..7)")
     _add_common(s, dim=False, degree=False)
-    s.add_argument("--experiment", type=int, required=True, choices=range(1, 8))
+    s.add_argument("--experiment", type=int, required=True, choices=_accept.EXPERIMENTS)
     s.set_defaults(func=_cmd_accept)
 
     return parser

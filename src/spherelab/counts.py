@@ -250,18 +250,6 @@ def enumerate_shell(spec: SphereSpec, lam: int) -> Shell:
     return Shell(spec=spec, lam=lam, points=tuple(joined))
 
 
-def _dyadic_blocks(lo: int, hi: int) -> list[int]:
-    """Exponents j with [2^j, 2^(j+1)) fully inside [lo, hi]."""
-    blocks = []
-    j = 0
-    while 2**j < lo:
-        j += 1
-    while 2 ** (j + 1) - 1 <= hi:
-        blocks.append(j)
-        j += 1
-    return blocks
-
-
 def growth_exponent_fit(table: RepCountTable, window: tuple[int, int]) -> ExponentReport:
     """Dyadic-block log-log slope of the counts over [window_lo, window_hi].
 
@@ -272,7 +260,7 @@ def growth_exponent_fit(table: RepCountTable, window: tuple[int, int]) -> Expone
     if len(window) != 2 or not 1 <= window[0] <= window[1] <= table.lambda_max:
         raise ParameterError(f"window {window} must be a pair 1 <= lo <= hi <= {table.lambda_max}")
     lo, hi = window
-    blocks = _dyadic_blocks(lo, hi)
+    blocks = range((lo - 1).bit_length(), (hi + 1).bit_length() - 1)  # [2^j, 2^(j+1)) in [lo, hi]
     if len(blocks) < 2:
         raise ParameterError(f"window [{lo}, {hi}] spans {len(blocks)} dyadic blocks; need >= 2")
     xs, ys = [], []

@@ -175,5 +175,7 @@ def read_grid_text(stream) -> GridFunction:
             raise ParameterError(f"bad grid-function row {line!r}: {exc}") from exc
         if pt in vals:
             raise ParameterError(f"grid-function row {line!r} repeats the point {pt}")
+        if len(vals) == DEFAULT_SUPPORT_BUDGET:     # refused before the rest is read
+            raise BudgetError(f"grid file rows exceed the support budget {DEFAULT_SUPPORT_BUDGET}")
         vals[pt] = v
     return GridFunction(dim, vals)

@@ -249,6 +249,8 @@ def decay_fit(
         raise ParameterError(f"t_range {t_range!r} spans less than one decade")
     if t_hi * max(map(abs, direction)) >= 1 << 63:
         raise ParameterError(f"t_max {t_hi} times direction {direction} leaves int64")
+    if num_samples > DEFAULT_SUPPORT_BUDGET:
+        raise BudgetError(f"{num_samples} samples exceed budget {DEFAULT_SUPPORT_BUDGET}")
     ts = sorted(
         {
             int(round(t_lo * (t_hi / t_lo) ** (i / (num_samples - 1))))

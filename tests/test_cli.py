@@ -190,6 +190,27 @@ def test_accept_headline_carries_elapsed_time(capsys):
     )
 
 
+def test_accept_refuses_experiments_outside_the_table(capsys):
+    for number in ("0", "8"):
+        code, out, err = run_cli(["accept", "--experiment", number], capsys)
+        assert code == 2 and out == ""
+        assert f"invalid choice: {number} (choose from 1, 2, 3, 4, 5, 6, 7)" in err
+
+
+def test_avg_has_no_lambda_min_and_maxop_keeps_it(capsys):
+    # T_lam averages over one level, so only the maximal operator has a level range
+    avg = ["avg", "--dim", "1", "--lambda", "2", "--fn", "delta", "--fn", "delta"]
+    code, _, err = run_cli(avg + ["--lambda-min", "1"], capsys)
+    assert code == 2 and "unrecognized arguments: --lambda-min 1" in err
+    code, _, err = run_cli(avg, capsys)
+    assert code == 0 and "lambda_min" not in json.loads(err.splitlines()[0])
+    maxop = ["maxop", "--dim", "1", "--lambda-max", "8", "--fn", "delta", "--fn", "delta"]
+    code, every_level, _ = run_cli(maxop, capsys)
+    assert code == 0 and every_level == "1\n-2 0.25\n-1 0.25\n1 0.25\n2 0.25\n"
+    code, from_three, _ = run_cli(maxop + ["--lambda-min", "3"], capsys)
+    assert code == 0 and from_three == "1\n-2 0.25\n2 0.25\n"
+
+
 def test_exit_code_parameter_error(capsys):
     code, _, err = run_cli(["count", "--dim", "0", "--degree", "2", "--lambda-max", "5"], capsys)
     assert code == 2
@@ -236,6 +257,19 @@ def test_exit_code_box_walk_budget(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert len(err.splitlines()) == 2      # the config echo and a one-line error
     assert err.splitlines()[1].startswith("error (budget)")
+
+
+def test_exit_code_grid_file_and_decay_samples_past_the_support_budget(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "four.txt"
+    path.write_text("1\n" + "".join(f"{i} 1.0\n" for i in range(4)))
+    monkeypatch.setattr(spherelab.grids, "DEFAULT_SUPPORT_BUDGET", 3)
+    code, out, err = run_cli(["hlmax", "--dim", "1", "--lambda-max", "4", "--fn", f"file:{path}"], capsys)
+    assert code == 3 and out == ""
+    assert err.splitlines()[1] == "error (budget): grid file rows exceed the support budget 3"
+    code, out, err = run_cli(["decay", "--dim", "5", "--direction", "1,0,0,0,0",
+                              "--samples", "10000001"], capsys)
+    assert code == 3 and out == ""
+    assert err.splitlines()[1] == "error (budget): 10000001 samples exceed budget 10000000"
 
 
 def test_joint_count(capsys):

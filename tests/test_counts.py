@@ -341,6 +341,24 @@ def test_growth_fit_rejects_narrow_window():
     table = rep_counts(SphereSpec(2, 2), 100)
     with pytest.raises(ParameterError):
         growth_exponent_fit(table, (5, 9))
+    for window in ((1, 1), (2, 3), (3, 7)):
+        with pytest.raises(ParameterError, match="spans 1 dyadic blocks"):
+            growth_exponent_fit(table, window)
+
+
+@pytest.mark.parametrize("window, slope, blocks", [
+    ((1, 3), 3.196397212803503, "2^0..2^2 (2 blocks)"),
+    ((2, 7), 2.232660756790275, "2^1..2^3 (2 blocks)"),
+    ((3, 15), 2.072779215308519, "2^2..2^4 (2 blocks)"),
+    ((1024, 2**17), 2.000090709690249, "2^10..2^17 (7 blocks)"),
+    ((1025, 2**17 - 1), 2.0000599677643685, "2^11..2^17 (6 blocks)"),
+])
+def test_growth_fit_blocks_at_window_edges(window, slope, blocks):
+    # a block [2^j, 2^(j+1)) is fitted when it lies inside the window; ends at 2^j - 1, 2^j and
+    # 2^j + 1 move the first or last block
+    report = growth_exponent_fit(rep_counts(SphereSpec(6, 2), 2**17), window)
+    assert report.sample_range == f"dyadic blocks {blocks}"
+    assert report.fitted_slope == slope
 
 
 def test_growth_fit_zero_block_is_analysis_error():

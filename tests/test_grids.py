@@ -250,3 +250,28 @@ def test_text_format_rejects_garbage():
 def test_text_format_skips_blank_lines_and_reads_rows_in_any_order():
     f = read_grid_text(io.StringIO("2\n\n1 0 2.5\n   \n-1 3 1.0\n\n"))
     assert f.items_sorted() == [((-1, 3), 1.0), ((1, 0), 2.5)]
+
+
+class _EndlessRows:
+    """A 1-d grid file of rows 'i 1.0' for i = 1, 2, ...; reading past row `last` fails."""
+
+    def __init__(self, last):
+        self.last = last
+
+    def readline(self):
+        return "1\n"
+
+    def __iter__(self):
+        for i in itertools.count(1):
+            if i > self.last:
+                pytest.fail(f"row {i} was read past the support budget")
+            yield f"{i} 1.0\n"
+
+
+def test_text_format_stops_reading_at_the_support_budget(monkeypatch):
+    monkeypatch.setattr(grids, "DEFAULT_SUPPORT_BUDGET", 3)
+    with pytest.raises(BudgetError, match="rows exceed the support budget 3"):
+        read_grid_text(_EndlessRows(4))
+    # the budget itself is allowed, and blank lines do not count
+    f = read_grid_text(io.StringIO("1\n1 1.0\n\n2 1.0\n3 0.0\n\n"))
+    assert f.support_size() == 2

@@ -30,6 +30,7 @@ from spherelab import (
     witness_values,
 )
 
+from spherelab import sharpness
 from spherelab.sharpness import _BLOCK_LEVELS
 
 from oracles import brute_witness
@@ -320,6 +321,15 @@ def test_decay_fit_errors():
         decay_fit(W5, (1, 1), (10, 2000))
     with pytest.raises(AnalysisError, match="vanished"):     # every value underflows to 0.0
         decay_fit(WitnessSpec(10, 2, 60, 1), (1,) + (0,) * 9, (10, 2000))
+
+
+def test_decay_fit_sample_budget(monkeypatch):
+    # the set of sample points grows with num_samples, so the count is refused before the loop;
+    # W5's witness box of 3^5 = 243 points stays inside the lowered budget
+    monkeypatch.setattr(sharpness, "DEFAULT_SUPPORT_BUDGET", 250)
+    decay_fit(W5, (1, 0, 0, 0, 0), (10, 2000), num_samples=250)
+    with pytest.raises(BudgetError, match="251 samples exceed budget 250"):
+        decay_fit(W5, (1, 0, 0, 0, 0), (10, 2000), num_samples=251)
 
 
 @pytest.mark.parametrize("spec", [
