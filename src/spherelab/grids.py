@@ -1,8 +1,9 @@
 """Finitely supported real-valued functions on Z^d and their text format.
 
-A GridFunction is a sparse point -> value map (zeros are never stored);
-evaluation anywhere off the support is 0.  The operators in operators.py
-take GridFunctions as input and return them as output.
+A GridFunction is stored as sorted read-only arrays, dict view built on first
+use (zeros are never stored); evaluation anywhere off the support is 0.  The
+operators in operators.py take GridFunctions as input and return them as
+output, built from their arrays by GridFunction._from_arrays.
 
 Supports stay sparse; a budget (DEFAULT_SUPPORT_BUDGET, 10^7 points) converts
 would-be memory blowups into clean BudgetError exceptions.  Non-finite
@@ -67,10 +68,11 @@ def _as_real(value, name: str) -> float:
 
 
 class GridFunction:
-    """Immutable finitely supported function on Z^d; non-finite or text values, non-integer
-    coordinates and coordinates of magnitude 2^62 or more are rejected."""
+    """Immutable finitely supported function on Z^d: sorted read-only arrays, dict view built on
+    first use.  Non-finite or text values, non-integer coordinates and coordinates of magnitude
+    2^62 or more are rejected."""
 
-    __slots__ = ("dim", "_values", "bbox")
+    __slots__ = ("dim", "bbox", "_pts", "_vals", "_map")
 
     def __init__(self, dim: int, values: dict[Point, float]):
         dim = _as_int(dim, "dim", 1)
@@ -84,49 +86,73 @@ class GridFunction:
             fv = v if type(v) is float and math.isfinite(v) else _as_real(v, f"the value at {p!r}")
             if fv != 0.0:
                 clean[pt] = fv
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_values", clean)
-        bbox = None
-        if clean:
-            bbox = tuple(map(min, zip(*clean))), tuple(map(max, zip(*clean)))
-            far = max(-min(bbox[0]), max(bbox[1]))
-            if far >= _COORD_LIMIT:
-                raise ParameterError(f"a coordinate of magnitude {far} is not below 2^62")
-        object.__setattr__(self, "bbox", bbox)
+        keys = sorted(clean)
+        bbox = (tuple(map(min, zip(*clean))), tuple(map(max, zip(*clean)))) if clean else None
+        self._store(dim, bbox, keys, [clean[p] for p in keys])
+
+    @classmethod
+    def _from_arrays(cls, dim: int, pts: np.ndarray, vals: np.ndarray) -> GridFunction:
+        """The function with support rows pts, int64 (N, dim), lexicographic and distinct, and
+        nonzero float64 values vals, as the operator engine builds them; the value rule is
+        checked on the arrays, the first non-finite value in row order named."""
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ParameterError(f"the value at {tuple(pts[i].tolist())!r} must be a finite real "
+                                 f"number, got {vals[i].item()!r}")
+        bbox = (tuple(pts.min(axis=0).tolist()), tuple(pts.max(axis=0).tolist())) if len(vals) else None
+        self = object.__new__(cls)
+        self._store(dim, bbox, pts, vals)
+        return self
+
+    def _store(self, dim: int, bbox, pts, vals) -> None:
+        """Refuse a coordinate of magnitude 2^62 or more, then keep pts and vals as read-only
+        int64 and float64 arrays."""
+        if bbox is not None and (far := max(-min(bbox[0]), max(bbox[1]))) >= _COORD_LIMIT:
+            raise ParameterError(f"a coordinate of magnitude {far} is not below 2^62")
+        pts = np.asarray(pts, dtype=np.int64).reshape(-1, dim)
+        vals = np.asarray(vals, dtype=np.float64)
+        pts.flags.writeable = vals.flags.writeable = False
+        for name, value in (("dim", dim), ("bbox", bbox), ("_pts", pts), ("_vals", vals), ("_map", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")
 
+    def _dict(self) -> dict[Point, float]:
+        """The point -> value dict, built on first use."""
+        if self._map is None:
+            object.__setattr__(self, "_map", dict(self.items_sorted()))
+        return self._map
+
     @property
     def values(self):
-        return MappingProxyType(self._values)
+        return MappingProxyType(self._dict())
 
     def value(self, point) -> float:
-        return self._values.get(_as_point(point), 0.0)
+        return self._dict().get(_as_point(point), 0.0)
 
     def support_size(self) -> int:
-        return len(self._values)
+        return len(self._vals)
 
     def items_sorted(self):
         """Support points in lexicographic order (the fixed accumulation order)."""
-        return sorted(self._values.items())
+        return list(zip(map(tuple, self._pts.tolist()), self._vals.tolist()))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(points (N,d) int64, values (N,) float64), lexicographic rows."""
-        items = self.items_sorted()
-        pts = np.array([p for p, _ in items], dtype=np.int64).reshape(-1, self.dim)
-        vals = np.array([v for _, v in items], dtype=np.float64)
-        return pts, vals
+        """(points (N,d) int64, values (N,) float64), lexicographic rows, both read-only."""
+        return self._pts, self._vals
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GridFunction)
             and self.dim == other.dim
-            and self._values == other._values
+            and np.array_equal(self._pts, other._pts)
+            and np.array_equal(self._vals, other._vals)
         )
 
     def __repr__(self) -> str:
-        return f"GridFunction(dim={self.dim}, support={len(self._values)})"
+        return f"GridFunction(dim={self.dim}, support={len(self._vals)})"
 
 
 def make_delta(dim: int) -> GridFunction:

@@ -104,7 +104,7 @@ def _validate(
     for i, f in enumerate(fs):
         if f.dim != spec.dim:
             raise ParameterError(f"input dimension {f.dim} != spec dimension {spec.dim}")
-        if nonnegative and any(v < 0.0 for v in f.values.values()):
+        if nonnegative and (f.arrays()[1] < 0.0).any():
             raise ParameterError(f"input {i} must be nonnegative for the domination check")
     return lambda_max
 
@@ -380,17 +380,21 @@ def _evaluate(fs: list[GridFunction], degree: int, lam_max: int, reduce) -> Grid
 
     BudgetError is raised before the output grows past DEFAULT_SUPPORT_BUDGET points.
     """
-    values: dict[tuple[int, ...], float] = {}
+    dim = fs[0].dim
+    pts, vals = [np.empty((0, dim), dtype=np.int64)], [np.empty(0)]
+    size = 0
     engine = _engine(fs, degree, lam_max)
     for points, _, profiles in engine[2] if engine else ():
         out = reduce(profiles)
         nz = np.flatnonzero(out)
-        if len(values) + len(nz) > DEFAULT_SUPPORT_BUDGET:
+        size += len(nz)
+        if size > DEFAULT_SUPPORT_BUDGET:
             raise BudgetError(
                 f"operator output exceeds the support budget of {DEFAULT_SUPPORT_BUDGET} points"
             )
-        values.update(zip(map(tuple, points[nz].tolist()), out[nz].tolist()))
-    return GridFunction(fs[0].dim, values)
+        pts.append(points[nz])
+        vals.append(out[nz])
+    return GridFunction._from_arrays(dim, np.concatenate(pts), np.concatenate(vals))
 
 
 def _norm_factors(spec: SphereSpec, ell: int, normalization: Normalization, lam_max: int) -> np.ndarray:
@@ -443,8 +447,9 @@ def hl_maximal(f: GridFunction, spec: SphereSpec, lambda_max: int) -> GridFuncti
     """
     lambda_max = _validate([f], spec, lambda_max)
     weights = np.arange(1, lambda_max + 1, dtype=np.float64) ** (-spec.dim / spec.degree)
+    pts, vals = f.arrays()
     return _evaluate(
-        [GridFunction(f.dim, {p: abs(v) for p, v in f.values.items()})], spec.degree, lambda_max,
+        [GridFunction._from_arrays(f.dim, pts, np.abs(vals))], spec.degree, lambda_max,
         lambda profs: (np.cumsum(profs[0], axis=1)[:, 1:] * weights).max(axis=1),
     )
 

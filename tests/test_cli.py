@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -5,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -270,6 +272,39 @@ def test_exit_code_grid_file_and_decay_samples_past_the_support_budget(tmp_path,
                               "--samples", "10000001"], capsys)
     assert code == 3 and out == ""
     assert err.splitlines()[1] == "error (budget): 10000001 samples exceed budget 10000000"
+
+
+@pytest.mark.parametrize("dim, lam_max, rows, message", [
+    (5, 4, "0 0 0 0 0 1e308\n1 0 0 0 0 1e308\n",
+     "the value at (-1, 0, 0, 0, 0) must be a finite real number, got inf"),
+    (1, 9, "4611686018427387903 1.0\n",
+     "a coordinate of magnitude 4611686018427387906 is not below 2^62"),
+], ids=["non-finite-output", "output-coordinate-past-2^62"])
+def test_exit_code_operator_output_past_the_value_and_coordinate_rules(dim, lam_max, rows, message,
+                                                                        tmp_path, capsys):
+    path = tmp_path / "f.txt"
+    path.write_text(f"{dim}\n{rows}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # numpy's overflow in the cumsum
+        code, out, err = run_cli(["hlmax", "--dim", str(dim), "--lambda-max", str(lam_max),
+                                  "--function-file", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines()[1] == f"error (parameters): {message}"
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["hlmax", "--dim", "5", "--lambda-max", "12", "--fn", "box:1"],
+     "e72bf84f53fffc2ba91de654078d86139502f397a4c91d4d8ed941cc7d1a7917"),
+    (["sphmax", "--dim", "5", "--lambda-max", "12", "--fn", "box:1"],
+     "2f90388c274fedc3d092530c757ea575e3b8bb32af368e054df1226cfa78719d"),
+    (["maxop", "--dim", "5", "--linearity", "2", "--lambda-max", "12", "--fn", "box:1",
+      "--fn", "box:1"],
+     "b1399ad8887e33c01038cc5a78f2a5fae502c37c6da63dec117d838f8346085d"),
+], ids=["hlmax", "sphmax", "maxop"])
+def test_operator_output_bytes_are_pinned(argv, sha256, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_joint_count(capsys):

@@ -102,6 +102,18 @@ def test_empty_function_arrays_keep_their_shapes_and_dtypes():
     assert vals.shape == (0,) and vals.dtype == np.float64
 
 
+def test_arrays_are_sorted_once_and_read_only():
+    f = GridFunction(2, {(1, 0): 2.0, (-1, 5): 1.0, (0, 0): 3.0})
+    pts, vals = f.arrays()
+    assert pts.tolist() == [[-1, 5], [0, 0], [1, 0]] and vals.tolist() == [1.0, 3.0, 2.0]
+    assert f.arrays()[0] is pts and f.arrays()[1] is vals
+    with pytest.raises(ValueError):
+        pts[0, 0] = 7
+    with pytest.raises(ValueError):
+        vals[0] = 7.0
+    assert list(f.values) == [(-1, 5), (0, 0), (1, 0)]     # the dict view is in the same order
+
+
 def test_immutability():
     f = make_delta(2)
     with pytest.raises(AttributeError):

@@ -767,3 +767,87 @@ def test_config_validation():
         multilinear_average([make_delta(2)] * 2, 5, OperatorConfig(spec, 2, 4))
     with pytest.raises(ParameterError):
         operators.domination_check_multilinear([make_delta(2)], spec, 4)
+
+
+@pytest.mark.parametrize("f, spec, lam_max, message", [
+    # two points of 1e308 sum past the float range: M(f) at (-1, 0, 0, 0, 0) is inf
+    (GridFunction(5, {(0, 0, 0, 0, 0): 1e308, (1, 0, 0, 0, 0): 1e308}), SphereSpec(5, 2), 4,
+     "the value at (-1, 0, 0, 0, 0) must be a finite real number, got inf"),
+    # the output box is the support dilated by 3, past 2^62
+    (GridFunction(1, {(2**62 - 1,): 1.0}), SphereSpec(1, 2), 9,
+     "a coordinate of magnitude 4611686018427387906 is not below 2^62"),
+], ids=["non-finite-value", "coordinate-past-2^62"])
+def test_operator_outputs_obey_the_value_and_coordinate_rules(f, spec, lam_max, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # numpy's overflow in the cumsum
+        with pytest.raises(ParameterError) as err:
+            hl_maximal(f, spec, lam_max)
+    assert str(err.value) == message
+
+
+def _grid_outputs(f, g, spec, lam_max):
+    """Each operator's GridFunction output, by name."""
+    exact = OperatorConfig(spec, 2, lam_max, Normalization.EXACT)
+    asym = OperatorConfig(spec, 2, lam_max, Normalization.ASYMPTOTIC)
+    return {
+        "average": multilinear_average([f, g], lam_max, exact),
+        "maximal": multilinear_maximal([f, g], asym),
+        "hl_maximal": hl_maximal(g, spec, lam_max),
+        "spherical_maximal": linear_spherical_maximal(g, spec, lam_max),
+    }
+
+
+def test_engine_outputs_equal_the_public_constructor():
+    # domination_check returns a report; the other entry points return the engine's arrays
+    rng = random.Random(21)
+    spec = SphereSpec(3, 2)
+    cases = [(make_box_indicator(3, 1), random_function(rng, 3, size=6, span=4)),
+             (random_function(rng, 3, size=5, span=5), random_function(rng, 3, size=7, span=5))]
+    for f, g in cases:
+        for name, out in _grid_outputs(f, g, spec, 9).items():
+            ref = GridFunction(out.dim, dict(out.values))
+            assert out == ref and out.support_size() == ref.support_size() > 0, name
+            assert out.items_sorted() == ref.items_sorted() and out.bbox == ref.bbox, name
+            for got, want, dtype in zip(out.arrays(), ref.arrays(), (np.int64, np.float64)):
+                assert got.dtype == want.dtype == dtype, name
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            for arr in (*out.arrays(), *ref.arrays()):
+                with pytest.raises(ValueError):
+                    arr[:1] = 0
+
+
+def test_empty_outputs_equal_the_empty_function():
+    spec = SphereSpec(2, 2)
+    far = GridFunction(2, {(6, 6): 1.0})
+    with pytest.warns(EmptySphereWarning):
+        empty_sphere = multilinear_average([make_delta(1)] * 2, 3,
+                                           OperatorConfig(SphereSpec(1, 3), 2, 3))
+    outs = [
+        empty_sphere,
+        # the box is the single row (3, 3), at level 18 > 15 from both inputs: no live rows
+        multilinear_maximal([make_delta(2), far], OperatorConfig(spec, 2, 15)),
+        # boxes that do not meet
+        multilinear_average([make_delta(2), far], 4, OperatorConfig(spec, 2, 4)),
+    ]
+    for out in outs:
+        assert out == GridFunction(out.dim, {}) and out.support_size() == 0 and out.bbox is None
+        pts, vals = out.arrays()
+        assert pts.shape == (0, out.dim) and pts.dtype == np.int64
+        assert vals.shape == (0,) and vals.dtype == np.float64
+
+
+def test_operators_build_no_point_dict(monkeypatch):
+    # inputs and outputs stay arrays: a dict view is built only when values or value() is read
+    def no_dict(self):
+        raise AssertionError("a point dict was built")
+
+    rng = random.Random(4)
+    spec = SphereSpec(3, 2)
+    f = make_box_indicator(3, 1)
+    g = random_function(rng, 3, size=6, span=4, nonnegative=True)
+    monkeypatch.setattr(GridFunction, "_dict", no_dict)
+    outs = list(_grid_outputs(f, g, spec, 9).values())
+    outs.append(multilinear_maximal([f, g], OperatorConfig(spec, 2, 9)))
+    domination_check(f, g, spec, 9)
+    domination_check_multilinear([g, f, g], spec, 9)
+    assert all(out.support_size() > 0 for out in outs)
