@@ -384,16 +384,17 @@ def _evaluate(fs: list[GridFunction], degree: int, lam_max: int, reduce) -> Grid
     pts, vals = [np.empty((0, dim), dtype=np.int64)], [np.empty(0)]
     size = 0
     engine = _engine(fs, degree, lam_max)
-    for points, _, profiles in engine[2] if engine else ():
-        out = reduce(profiles)
-        nz = np.flatnonzero(out)
-        size += len(nz)
-        if size > DEFAULT_SUPPORT_BUDGET:
-            raise BudgetError(
-                f"operator output exceeds the support budget of {DEFAULT_SUPPORT_BUDGET} points"
-            )
-        pts.append(points[nz])
-        vals.append(out[nz])
+    with np.errstate(over="ignore", invalid="ignore"):  # _from_arrays refuses a non-finite value
+        for points, _, profiles in engine[2] if engine else ():
+            out = reduce(profiles)
+            nz = np.flatnonzero(out)
+            size += len(nz)
+            if size > DEFAULT_SUPPORT_BUDGET:
+                raise BudgetError(
+                    f"operator output exceeds the support budget of {DEFAULT_SUPPORT_BUDGET} points"
+                )
+            pts.append(points[nz])
+            vals.append(out[nz])
     return GridFunction._from_arrays(dim, np.concatenate(pts), np.concatenate(vals))
 
 
@@ -482,6 +483,8 @@ def domination_check_multilinear(
 
     Pruned rows (some input unreachable within lambda_max) have LHS = 0 and
     RHS = 0 exactly, hence violation 0; they are counted, not recomputed.
+    ParameterError names the first row, in row order, whose LHS or majorant
+    overflows to a non-finite value.
     """
     if len(fs) < 2:
         raise ParameterError("domination check needs at least two input functions")
@@ -505,18 +508,25 @@ def domination_check_multilinear(
     worst = -math.inf
     worst_pt: tuple[int, ...] | None = None
     live = 0        # the box rows before it are all live: flat rises across the chunks
-    for pts, flat, profs in chunks:
-        live += int(np.count_nonzero(flat == np.arange(live, live + len(flat))))
-        a, rest = profs[0], _fold(profs[1:])
-        joint = _level_convolve(a, rest)
-        lhs = (joint[:, 1:] / full_norm[1:]).max(axis=1)
-        m_side = (np.cumsum(a, axis=1)[:, 1:] * ball_w).max(axis=1)
-        s_side = (rest / rest_norm).max(axis=1)   # includes the level-zero term
-        viol = lhs - m_side * s_side
-        i = int(np.argmax(viol))
-        if viol[i] > worst:
-            worst = float(viol[i])
-            worst_pt = tuple(int(c) for c in pts[i])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite side is refused below
+        for pts, flat, profs in chunks:
+            live += int(np.count_nonzero(flat == np.arange(live, live + len(flat))))
+            a, rest = profs[0], _fold(profs[1:])
+            joint = _level_convolve(a, rest)
+            lhs = (joint[:, 1:] / full_norm[1:]).max(axis=1)
+            m_side = (np.cumsum(a, axis=1)[:, 1:] * ball_w).max(axis=1)
+            s_side = (rest / rest_norm).max(axis=1)   # includes the level-zero term
+            viol = lhs - m_side * s_side
+            bad = ~np.isfinite(viol)        # both sides are >= 0: only a non-finite side
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ParameterError(
+                    f"the domination sides at {tuple(pts[i].tolist())!r} must be finite, got LHS "
+                    f"{float(lhs[i])!r} and majorant {float(m_side[i] * s_side[i])!r}")
+            i = int(np.argmax(viol))
+            if viol[i] > worst:
+                worst = float(viol[i])
+                worst_pt = tuple(int(c) for c in pts[i])
     if live < checked and 0.0 > worst:  # the pruned row live attains LHS - RHS = 0
         worst, worst_pt = 0.0, tuple(int(c) for c in np.unravel_index(live, shape) + lo)
     return DominationReport(worst, worst_pt, lambda_max, checked)

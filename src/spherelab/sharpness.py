@@ -17,8 +17,9 @@ witness_value(x) >= (l * sum |x_i|^k)^-(l*d/k - 1) for x != 0.  The level
 lam = 0 arises only at x = 0, w = 0 and is excluded (level scans start at 1).
 
 Each level is a sum of independent per-axis terms, so witness_values adds
-them axis by axis over fixed-size row blocks: memory stays bounded for any
-batch.  Under asymptotic normalization with l*d > k the weight
+them axis by axis (the long axis innermost, in int32 while the levels fit)
+over fixed-size row blocks: memory stays bounded for any batch.  Under
+asymptotic normalization with l*d > k the weight
 lam^-(l*d/k - 1) falls as lam grows, so only a row's first level and the
 levels whose count beats every smaller level's can hold its maximum, and
 only those are weighted; the maximum is the same float, as the float64
@@ -56,7 +57,7 @@ from .reports import ExponentReport, RegionVerdict, ScanReport
 _EXACT_REGION_BUDGET = 200_000
 _DEFAULT_SAMPLES = 8_000
 _DEFAULT_SEED = 20250808
-_BLOCK_LEVELS = 1 << 16  # fastest of 2^14..2^20 (L = 1, 2, k = 2, 3, Z^5) on a 2-vCPU Xeon
+_BLOCK_LEVELS = 1 << 16  # ties 2^17, at half its peak, of 2^14..2^18 (int32 levels, L = 1, 2, Z^5)
 _EXACT_LEVEL_BUDGET = 1 << 17  # largest exact=True joint level: experiment 2's tables
 
 
@@ -120,10 +121,12 @@ def p0_bound(delta0, dim: int, degree: int) -> Fraction:
 def witness_values(points: np.ndarray, spec: WitnessSpec, *, exact: bool = False) -> np.ndarray:
     """Exact witness supremum at every row of points ((N, dim) integer array).
 
-    Levels are summed axis by axis in row blocks of at most _BLOCK_LEVELS (a
-    larger row is its own block), row-sorted and grouped by a run-length
-    pass; lam = 0 (only at x = 0) is excluded.  A row's value depends only on
-    its own levels, so blocking never changes the output.
+    Levels are summed axis by axis, the long axis innermost, in row blocks of
+    at most _BLOCK_LEVELS (a larger row is its own block), row-sorted and
+    grouped by a run-length pass; lam = 0 (only at x = 0) is excluded.  They
+    are int32 when d * ((l-1) big^k + (big+L)^k) < 2^31, big the batch's
+    largest |x_i| (always for exact=True), else int64.  A row's value depends
+    only on its own levels, so neither blocking nor the dtype changes it.
 
     Under asymptotic normalization with l*d/k > 1, a run of levels is
     weighted only when it is its row's first or its count beats that of
@@ -140,7 +143,7 @@ def witness_values(points: np.ndarray, spec: WitnessSpec, *, exact: bool = False
     instead of lam^(l*d/k - 1), which needs the joint table up to the largest
     candidate level; decay fits and norm scans use the asymptotic form.
     BudgetError is raised before allocating when (2L+1)^d > DEFAULT_SUPPORT_BUDGET,
-    when the largest level reaches 2^62 (levels are int64) or an exact table would
+    when the largest level reaches 2^62 (int64 levels would overflow) or an exact table would
     pass _EXACT_LEVEL_BUDGET; ParameterError when a coordinate is not an int64 integer.
     """
     try:        # a float, str or past-int64 coordinate is not cast safely
@@ -156,13 +159,15 @@ def witness_values(points: np.ndarray, spec: WitnessSpec, *, exact: bool = False
     n = len(pts)
     if n == 0:
         return np.zeros(0)
-    big = max(-int(pts.min()), int(pts.max()))     # d * ((l-1) big^k + (big+L)^k) >= each level
-    if exact or spec.dim * ((spec.linearity - 1) * big**k + (big + L) ** k) >= 1 << 62:
+    big = max(-int(pts.min()), int(pts.max()))
+    bound = spec.dim * ((spec.linearity - 1) * big**k + (big + L) ** k)     # >= each level
+    if exact or bound >= 1 << 62:
         absf = np.abs(pts.astype(np.float64))   # the top level takes w_i = -sign(x_i) * L
         top = ((spec.linearity - 1) * absf**k + (absf + L) ** k).sum(axis=1).max()
         if top >= 2.0**62:
             raise BudgetError(f"witness level {top:.4g} >= 2^62: levels would overflow int64")
-    base = (spec.linearity - 1) * (np.abs(pts) ** k).sum(axis=1)
+    dtype = np.int32 if bound < 1 << 31 else np.int64   # exact=True: bound <= d * top <= d * 2^17
+    base = ((spec.linearity - 1) * (np.abs(pts) ** k).sum(axis=1)).astype(dtype)
     if exact:
         if top > _EXACT_LEVEL_BUDGET:
             raise BudgetError(f"exact witness needs level {top:.0f} > {_EXACT_LEVEL_BUDGET}")
@@ -177,9 +182,9 @@ def witness_values(points: np.ndarray, spec: WitnessSpec, *, exact: bool = False
         x = pts[lo : lo + rows]
         firsts = np.arange(len(x)) * nb  # where each row's levels start in flat
         levels = base[lo : lo + rows, None]
-        step = np.abs(x[:, :, None] - w) ** k
-        for axis in range(spec.dim):
-            levels = (levels[:, :, None] + step[:, axis, None, :]).reshape(len(x), -1)
+        step = (np.abs(x[:, :, None] - w) ** k).astype(dtype)
+        for axis in range(spec.dim):     # the long axis innermost; the row sort fixes the order
+            levels = (step[:, axis, :, None] + levels[:, None, :]).reshape(len(x), -1)
         levels.sort(axis=1)
         flat = levels.ravel()
         edge = np.empty(len(flat) + 1, dtype=bool)     # True where a run of equal levels starts

@@ -274,21 +274,33 @@ def test_exit_code_grid_file_and_decay_samples_past_the_support_budget(tmp_path,
     assert err.splitlines()[1] == "error (budget): 10000001 samples exceed budget 10000000"
 
 
-@pytest.mark.parametrize("dim, lam_max, rows, message", [
-    (5, 4, "0 0 0 0 0 1e308\n1 0 0 0 0 1e308\n",
+_OVERFLOW = "0 0 0 0 0 1e308\n1 0 0 0 0 1e308\n"     # two points that sum past the float range
+
+
+@pytest.mark.parametrize("argv, rows, message", [
+    (["hlmax", "--dim", "5", "--lambda-max", "4", "--function-file", "{path}"], _OVERFLOW,
      "the value at (-1, 0, 0, 0, 0) must be a finite real number, got inf"),
-    (1, 9, "4611686018427387903 1.0\n",
-     "a coordinate of magnitude 4611686018427387906 is not below 2^62"),
-], ids=["non-finite-output", "output-coordinate-past-2^62"])
-def test_exit_code_operator_output_past_the_value_and_coordinate_rules(dim, lam_max, rows, message,
+    (["maxop", "--dim", "5", "--lambda-max", "4", "--fn", "file:{path}", "--fn", "file:{path}"],
+     _OVERFLOW, "the value at (-1, -1, 0, 0, 0) must be a finite real number, got inf"),
+    (["avg", "--dim", "5", "--lambda", "4", "--fn", "file:{path}", "--fn", "file:{path}"],
+     _OVERFLOW, "the value at (-1, -1, 0, 0, 0) must be a finite real number, got inf"),
+    (["dominate", "--dim", "5", "--lambda-max", "4", "--f", "file:{path}", "--g", "file:{path}"],
+     _OVERFLOW,
+     "the domination sides at (-2, 0, 0, 0, 0) must be finite, got LHS 0.0 and majorant inf"),
+    (["hlmax", "--dim", "1", "--lambda-max", "9", "--function-file", "{path}"],
+     "4611686018427387903 1.0\n", "a coordinate of magnitude 4611686018427387906 is not below 2^62"),
+], ids=["non-finite-output", "maxop-non-finite", "avg-non-finite", "dominate-non-finite",
+        "output-coordinate-past-2^62"])
+def test_exit_code_operator_output_past_the_value_and_coordinate_rules(argv, rows, message,
                                                                         tmp_path, capsys):
     path = tmp_path / "f.txt"
-    path.write_text(f"{dim}\n{rows}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)     # numpy's overflow in the cumsum
-        code, out, err = run_cli(["hlmax", "--dim", str(dim), "--lambda-max", str(lam_max),
-                                  "--function-file", str(path)], capsys)
+    path.write_text(f"{argv[2]}\n{rows}")
+    with warnings.catch_warnings(record=True) as caught:    # avg shows every warning it meets
+        warnings.simplefilter("error", RuntimeWarning)      # an overflow is refused, not warned
+        code, out, err = run_cli([a.format(path=path) for a in argv], capsys)
+    assert caught == []
     assert code == 2 and out == ""
+    assert len(err.splitlines()) == 2      # the config echo and a one-line error
     assert err.splitlines()[1] == f"error (parameters): {message}"
 
 

@@ -779,10 +779,22 @@ def test_config_validation():
 ], ids=["non-finite-value", "coordinate-past-2^62"])
 def test_operator_outputs_obey_the_value_and_coordinate_rules(f, spec, lam_max, message):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)     # numpy's overflow in the cumsum
+        warnings.simplefilter("error", RuntimeWarning)      # the overflow is refused, not warned
         with pytest.raises(ParameterError) as err:
             hl_maximal(f, spec, lam_max)
     assert str(err.value) == message
+
+
+def test_domination_refuses_sides_past_the_float_range():
+    # M(f) * S~(f) overflows to inf, where LHS - RHS is -inf or nan (inf - inf) and no
+    # violation would beat it: the first live row, in row order, is named instead
+    f = GridFunction(5, {(0, 0, 0, 0, 0): 1e308, (1, 0, 0, 0, 0): 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ParameterError) as err:
+            domination_check(f, f, SphereSpec(5, 2), 4)
+    assert str(err.value) == ("the domination sides at (-2, 0, 0, 0, 0) must be finite, "
+                              "got LHS 0.0 and majorant inf")
 
 
 def _grid_outputs(f, g, spec, lam_max):

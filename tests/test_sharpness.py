@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -154,6 +155,49 @@ def test_witness_values_equal_weighting_every_level_bitwise(spec, small, huge):
     far = np.array(huge, dtype=np.int64)
     far = np.concatenate([far, far[:1] + rng.integers(-3, 4, size=(40, spec.dim))])
     assert witness_values(far, spec).tobytes() == _all_levels_reference(far, spec, False).tobytes()
+
+
+def _level_bound(spec, big):
+    """witness_values' bound on every level of a batch whose largest |x_i| is big."""
+    k = spec.degree
+    return spec.dim * ((spec.linearity - 1) * big**k + (big + spec.box_radius) ** k)
+
+
+@pytest.mark.parametrize("spec", [WitnessSpec(d, k, 2, L) for d, k in ((5, 2), (5, 3), (1, 3))
+                                  for L in (1, 2)],
+                         ids=lambda spec: f"d{spec.dim}k{spec.degree}L{spec.box_radius}")
+def test_int32_levels_equal_int64_levels_bitwise(spec):
+    # levels are int32 while the bound is below 2^31 and int64 from there on; one far point
+    # lifts a batch's bound past 2^31, so the same rows are summed in int64.  In d = 1, k = 3
+    # the weight rises with the level, so a row's top level, the only one past 2^31 just
+    # above the edge, holds its maximum.  exact=True always takes int32: its levels stay
+    # under _EXACT_LEVEL_BUDGET = 2^17, so its bound, at most d times the top level, does too.
+    far = np.array([[1 << 16] + [0] * (spec.dim - 1)])
+    edge = 1
+    while _level_bound(spec, edge + 1) < 1 << 31:
+        edge += 1
+    rng = np.random.default_rng(10 * spec.box_radius + spec.degree)
+    for big in (40, edge, edge + 1):        # the last two lie either side of the 2^31 edge
+        pts = rng.integers(-big, big + 1, size=(40, spec.dim))
+        pts[0] = 0
+        pts[1] = rng.choice([-big, big], size=spec.dim)     # its top level is the bound
+        assert (_level_bound(spec, big) < 1 << 31) == (big < edge + 1)
+        got = witness_values(pts, spec)
+        assert got.tobytes() == witness_values(np.vstack([pts, far]), spec)[:-1].tobytes(), big
+        assert got.tobytes() == _all_levels_reference(pts, spec, False).tobytes(), big
+
+
+def test_witness_values_peak_memory():
+    # int32 levels peak near 0.85 MiB here; int64 levels would take 1.52 MiB
+    pts = np.random.default_rng(2000).integers(-1000, 1001, size=(2000, 5))
+    witness_values(pts[:1], W5)
+    tracemalloc.start()
+    try:
+        witness_values(pts, W5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * 2**20, peak
 
 
 def test_witness_box_budget():
