@@ -33,7 +33,7 @@ import decimal
 
 import numpy as np
 
-from .errors import BudgetError
+from .grids import _within_budget
 
 # The decimal path costs about as much as 6 schoolbook pairs per output
 # coefficient: per-call timings of the r_{d,k} table builds (d <= 10,
@@ -136,8 +136,7 @@ def convolve_trunc(a: list[int], b: list[int], n_out: int) -> list[int]:
     if n_out == 0 or nnz_a * nnz_b <= _SPARSE_PAIRS_PER_COEFF * n_out + _SPARSE_FIXED_PAIRS:
         return _convolve_sparse(a, b, n_out)
     w = len(str(min(sum(a) * max(b), sum(b) * max(a)))) + 1
-    if n_out * w > _DIGIT_BUDGET:
-        raise BudgetError(f"a dense convolution of {n_out} coefficients needs {n_out * w} digits")
+    _within_budget(n_out * w, f"digits of a dense convolution of {n_out} coefficients", _DIGIT_BUDGET)
     x = _pack(a[:n_out], w)
     y = x if a is b else _pack(b[:n_out], w)
     return _unpack(_EXACT.multiply(x, y), w, n_out)

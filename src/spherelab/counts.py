@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._convolve import power_trunc
-from .errors import AnalysisError, BudgetError, ParameterError, RangeError
-from .grids import DEFAULT_SUPPORT_BUDGET, _as_int, _as_point
+from .errors import AnalysisError, ParameterError, RangeError
+from .grids import _as_int, _as_point, _within_budget
 from .reports import ExponentReport
 
 
@@ -113,8 +113,7 @@ def rep_counts(spec: SphereSpec, lambda_max: int) -> RepCountTable:
     DEFAULT_SUPPORT_BUDGET raises BudgetError before anything is allocated.
     """
     lambda_max = _as_int(lambda_max, "lambda_max", 0)
-    if lambda_max > DEFAULT_SUPPORT_BUDGET:
-        raise BudgetError(f"lambda_max {lambda_max} exceeds the table budget of {DEFAULT_SUPPORT_BUDGET}")
+    _within_budget(lambda_max, "count table lambda_max")
     g = one_dim_counts(spec.degree, lambda_max)
     counts = power_trunc(g, spec.dim, lambda_max + 1)
     return RepCountTable(spec=spec, lambda_max=lambda_max, counts=tuple(counts))
@@ -164,16 +163,14 @@ def _ball_offsets(dim: int, degree: int, lam_max: int) -> tuple[np.ndarray, np.n
     level wraps int64.
     """
     root = kth_root_floor(lam_max, degree)
-    if 2 * root + 1 > DEFAULT_SUPPORT_BUDGET:
-        raise BudgetError(f"the first axis of a k-ball of level {lam_max} has {2 * root + 1} points")
+    _within_budget(2 * root + 1, f"points on the first axis of a k-ball of level {lam_max}")
     powers = np.arange(root + 1, dtype=np.int64) ** degree
     pts, level = np.zeros((0, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
     for _ in range(dim):
         roots = np.searchsorted(powers, lam_max - level, side="right") - 1
         width = 2 * roots + 1
         rows = int(width.sum())
-        if rows > DEFAULT_SUPPORT_BUDGET:
-            raise BudgetError(f"a k-ball of level {lam_max} needs {rows} points in {len(pts) + 1} axes")
+        _within_budget(rows, f"points of a k-ball of level {lam_max} in {len(pts) + 1} axes")
         prefix = np.repeat(np.arange(len(level)), width)
         coord = np.arange(rows, dtype=np.int64)
         coord -= (np.cumsum(width) - width + roots)[prefix]     # index of c = 0, per new point
@@ -226,8 +223,7 @@ def enumerate_shell(spec: SphereSpec, lam: int) -> Shell:
     if d == 1:
         points = () if root**k != lam else ((0,),) if root == 0 else ((-root,), (root,))
         return Shell(spec=spec, lam=lam, points=points)
-    if lam >= 1 << 62:
-        raise BudgetError(f"shell level {lam} >= 2^62 in dimension {d}: levels would overflow int64")
+    _within_budget(lam, f"shell level in dimension {d} (int64 levels)", (1 << 62) - 1)
     head, head_lev = _ball_offsets(d - d // 2, k, lam)
     tail, tail_lev = _ball_offsets(d // 2, k, lam) if d % 2 else (head, head_lev)
     order = np.argsort(tail_lev, kind="stable")
@@ -237,8 +233,7 @@ def enumerate_shell(spec: SphereSpec, lam: int) -> Shell:
     count = np.searchsorted(tail_lev, need, side="right")
     count -= start
     total = int(count.sum())
-    if total > DEFAULT_SUPPORT_BUDGET:
-        raise BudgetError(f"shell of {total} points exceeds the budget of {DEFAULT_SUPPORT_BUDGET}")
+    _within_budget(total, "shell points")
     live = np.flatnonzero(count)            # head points with a partner
     # one int object per value -R..R, shared by every tuple, unless that
     # table would outnumber the shell's coordinates

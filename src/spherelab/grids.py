@@ -6,7 +6,8 @@ operators in operators.py take GridFunctions as input and return them as
 output, built from their arrays by GridFunction._from_arrays.
 
 Supports stay sparse; a budget (DEFAULT_SUPPORT_BUDGET, 10^7 points) converts
-would-be memory blowups into clean BudgetError exceptions.  Non-finite
+would-be memory blowups into clean BudgetError exceptions.  _within_budget is the one rule
+that raises BudgetError, for this budget (read at each call) and every other.  Non-finite
 values are rejected on construction, and support points are handed out in
 sorted order, so every accumulation over a support has a fixed order.
 
@@ -34,13 +35,25 @@ _TEXT = (str, bytes, bytearray, memoryview)
 Point = tuple[int, ...]
 
 
-def _as_point(p, noun: str = "point") -> Point:
+def _within_budget(n, what: str, limit: int | None = None) -> None:
+    """Raise BudgetError when the quantity what, of size n, passes limit (DEFAULT_SUPPORT_BUDGET
+    as it reads at this call when limit is None).  A Python float n is compared exactly."""
+    limit = DEFAULT_SUPPORT_BUDGET if limit is None else limit
+    if n > limit:
+        raise BudgetError(f"{what}: {n} exceeds the budget of {limit}")
+
+
+def _as_point(p, noun: str = "point", dim: int | None = None) -> Point:
     """p as a tuple of ints: int, bool and numpy integer entries pass, a float or str raises
-    ParameterError, naming the sequence by noun, instead of being truncated."""
+    ParameterError, naming the sequence by noun, instead of being truncated; so does a length
+    other than dim, unless dim is None."""
     try:
-        return tuple(map(operator.index, p))
+        pt = tuple(map(operator.index, p))
     except TypeError:
         raise ParameterError(f"{noun} {p!r} is not a sequence of integers") from None
+    if dim is not None and len(pt) != dim:
+        raise ParameterError(f"{noun} {p!r} does not have dimension {dim}")
+    return pt
 
 
 def _as_int(value, name: str, low: int | None) -> int:
@@ -76,13 +89,10 @@ class GridFunction:
 
     def __init__(self, dim: int, values: dict[Point, float]):
         dim = _as_int(dim, "dim", 1)
-        if len(values) > DEFAULT_SUPPORT_BUDGET:
-            raise BudgetError(f"support of {len(values)} points exceeds budget {DEFAULT_SUPPORT_BUDGET}")
+        _within_budget(len(values), "support points")
         clean: dict[Point, float] = {}
         for p, v in values.items():
-            pt = _as_point(p)
-            if len(pt) != dim:
-                raise ParameterError(f"point {p!r} does not have dimension {dim}")
+            pt = _as_point(p, dim=dim)
             fv = v if type(v) is float and math.isfinite(v) else _as_real(v, f"the value at {p!r}")
             if fv != 0.0:
                 clean[pt] = fv
@@ -130,7 +140,7 @@ class GridFunction:
         return MappingProxyType(self._dict())
 
     def value(self, point) -> float:
-        return self._dict().get(_as_point(point), 0.0)
+        return self._dict().get(_as_point(point, dim=self.dim), 0.0)
 
     def support_size(self) -> int:
         return len(self._vals)
@@ -164,8 +174,7 @@ def make_box_indicator(dim: int, radius: int) -> GridFunction:
     """Indicator of the cube [-radius, radius]^dim."""
     dim, radius = _as_int(dim, "dim", 1), _as_int(radius, "radius", 0)
     side = 2 * radius + 1
-    if side**dim > DEFAULT_SUPPORT_BUDGET:
-        raise BudgetError(f"box has {side**dim} points, budget is {DEFAULT_SUPPORT_BUDGET}")
+    _within_budget(side**dim, "box points")
     pts = itertools.product(range(-radius, radius + 1), repeat=dim)
     return GridFunction(dim, dict.fromkeys(pts, 1.0))
 
@@ -201,7 +210,6 @@ def read_grid_text(stream) -> GridFunction:
             raise ParameterError(f"bad grid-function row {line!r}: {exc}") from exc
         if pt in vals:
             raise ParameterError(f"grid-function row {line!r} repeats the point {pt}")
-        if len(vals) == DEFAULT_SUPPORT_BUDGET:     # refused before the rest is read
-            raise BudgetError(f"grid file rows exceed the support budget {DEFAULT_SUPPORT_BUDGET}")
+        _within_budget(len(vals) + 1, "grid file rows")     # refused before the rest is read
         vals[pt] = v
     return GridFunction(dim, vals)

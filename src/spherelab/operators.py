@@ -54,9 +54,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grids
 from .counts import DEFAULT_CACHE, SphereSpec, _ball_offsets, kth_root_floor
-from .errors import BudgetError, EmptySphereWarning, ParameterError
-from .grids import DEFAULT_SUPPORT_BUDGET, GridFunction, _as_int
+from .errors import EmptySphereWarning, ParameterError
+from .grids import GridFunction, _as_int, _within_budget
 from .reports import DominationReport
 
 _CHUNK_ROWS = 1 << 13       # rows per grid chunk
@@ -325,12 +326,8 @@ def _engine(fs: list[GridFunction], degree: int, lam_max: int):
         return None
     lo, shape = np.array(lo, dtype=np.int64), tuple(b - a + 1 for a, b in zip(lo, hi))
     total, rows = math.prod(shape), min(_CHUNK_ROWS, _CHUNK_CELLS // (lam_max + 1))
-    if total >= 1 << 63:
-        raise BudgetError(f"an evaluation box of {total} rows exceeds the int64 row index range")
-    if rows == 0:
-        raise BudgetError(
-            f"one row of {lam_max + 1} levels exceeds the chunk budget of {_CHUNK_CELLS} cells"
-        )
+    _within_budget(total, "evaluation box rows (int64 row indices)", (1 << 63) - 1)
+    _within_budget(lam_max + 1, "chunk cells of one row of levels", _CHUNK_CELLS)    # rows > 0
     supports = [f.arrays() for f in fs]
     spans = [max(b - a for a, b in zip(*f.bbox)) + radius for f in fs]    # >= every |x_i - s_i|
     caps = [radius + 1 if len(shape) * s**degree >= 1 << 63 else None for s in spans]
@@ -339,13 +336,11 @@ def _engine(fs: list[GridFunction], degree: int, lam_max: int):
     stencil = None
     if total > rows and (2 * radius + 3) ** axis < 1 << 62:
         ball = DEFAULT_CACHE.table(SphereSpec(len(shape), degree), lam_max).counts[: lam_max + 1]
-        if sum(ball) <= min(total, DEFAULT_SUPPORT_BUDGET):
+        if sum(ball) <= min(total, grids.DEFAULT_SUPPORT_BUDGET):
             stencil = _Stencil(lo, shape, axis, degree, lam_max, supports)
-    if stencil is None or len(supports[order[0]][1]) * len(stencil.key) > DEFAULT_SUPPORT_BUDGET:
+    if stencil is None or len(supports[order[0]][1]) * len(stencil.key) > grids.DEFAULT_SUPPORT_BUDGET:
         step = rows if stencil is None else stencil.size     # rows per step of the box walk
-        if total > step * DEFAULT_SUPPORT_BUDGET:
-            raise BudgetError(f"a box walk of {-(-total // step)} steps exceeds the budget of "
-                              f"{DEFAULT_SUPPORT_BUDGET}")
+        _within_budget(-(-total // step), "box walk steps")
         units = ((np.arange(a, min(a + step, total)), None) for a in range(0, total, step))
     else:
         units = stencil.walk(order[0], rows)
@@ -389,10 +384,7 @@ def _evaluate(fs: list[GridFunction], degree: int, lam_max: int, reduce) -> Grid
             out = reduce(profiles)
             nz = np.flatnonzero(out)
             size += len(nz)
-            if size > DEFAULT_SUPPORT_BUDGET:
-                raise BudgetError(
-                    f"operator output exceeds the support budget of {DEFAULT_SUPPORT_BUDGET} points"
-                )
+            _within_budget(size, "operator output points")
             pts.append(points[nz])
             vals.append(out[nz])
     return GridFunction._from_arrays(dim, np.concatenate(pts), np.concatenate(vals))

@@ -43,14 +43,15 @@ rules to an (p, q, r, d) tuple.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .counts import SphereSpec, _ball_offsets
-from .errors import AnalysisError, BudgetError, ParameterError
-from .grids import DEFAULT_SUPPORT_BUDGET, _as_int, _as_point, _as_real
+from .counts import SphereSpec, _ball_offsets, kth_root_floor
+from .errors import AnalysisError, ParameterError
+from .grids import _as_int, _as_point, _as_real, _within_budget
 from .operators import Normalization, _norm_factors
 from .reports import ExponentReport, RegionVerdict, ScanReport
 
@@ -97,11 +98,16 @@ def _as_fraction(x) -> Fraction:
         raise ParameterError(f"cannot interpret {x!r} as a finite rational number") from None
 
 
+def _as_delta0(delta0) -> Fraction:
+    """delta0 as an exact rational, at least 0."""
+    if (d0 := _as_fraction(delta0)) < 0:
+        raise ParameterError(f"delta0 must be >= 0, got {delta0!r}")
+    return d0
+
+
 def r0_bound(delta0, linearity: int) -> Fraction:
     """(2 + 2*delta0) / ((l-1)*(2 + 2*delta0) + (1 + 2*delta0)), exact."""
-    d0 = _as_fraction(delta0)
-    if d0 < 0:
-        raise ParameterError(f"delta0 must be >= 0, got {delta0!r}")
+    d0 = _as_delta0(delta0)
     linearity = _as_int(linearity, "linearity", 1)
     top = 2 + 2 * d0
     return top / ((linearity - 1) * top + (1 + 2 * d0))
@@ -109,9 +115,7 @@ def r0_bound(delta0, linearity: int) -> Fraction:
 
 def p0_bound(delta0, dim: int, degree: int) -> Fraction:
     """max(1 + 1/(1 + 2*delta0), d/(d - k)), exact."""
-    d0 = _as_fraction(delta0)
-    if d0 < 0:
-        raise ParameterError(f"delta0 must be >= 0, got {delta0!r}")
+    d0 = _as_delta0(delta0)
     dim, degree = _as_int(dim, "dim", None), _as_int(degree, "degree", None)
     if dim <= degree:
         raise ParameterError(f"need dim > degree, got {dim} <= {degree}")
@@ -154,8 +158,7 @@ def witness_values(points: np.ndarray, spec: WitnessSpec, *, exact: bool = False
         raise ParameterError(f"points must be an (N, {spec.dim}) integer array")
     L, k = spec.box_radius, spec.degree
     nb = (2 * L + 1) ** spec.dim
-    if nb > DEFAULT_SUPPORT_BUDGET:
-        raise BudgetError(f"witness box has {nb} points, budget is {DEFAULT_SUPPORT_BUDGET}")
+    _within_budget(nb, "witness box points")
     n = len(pts)
     if n == 0:
         return np.zeros(0)
@@ -164,13 +167,11 @@ def witness_values(points: np.ndarray, spec: WitnessSpec, *, exact: bool = False
     if exact or bound >= 1 << 62:
         absf = np.abs(pts.astype(np.float64))   # the top level takes w_i = -sign(x_i) * L
         top = ((spec.linearity - 1) * absf**k + (absf + L) ** k).sum(axis=1).max()
-        if top >= 2.0**62:
-            raise BudgetError(f"witness level {top:.4g} >= 2^62: levels would overflow int64")
+        _within_budget(float(top), "witness level (int64 levels)", (1 << 62) - 1)
     dtype = np.int32 if bound < 1 << 31 else np.int64   # exact=True: bound <= d * top <= d * 2^17
     base = ((spec.linearity - 1) * (np.abs(pts) ** k).sum(axis=1)).astype(dtype)
     if exact:
-        if top > _EXACT_LEVEL_BUDGET:
-            raise BudgetError(f"exact witness needs level {top:.0f} > {_EXACT_LEVEL_BUDGET}")
+        _within_budget(int(top), "exact witness level", _EXACT_LEVEL_BUDGET)
         norms = _norm_factors(SphereSpec(spec.dim, k), spec.linearity, Normalization.EXACT, int(top))
         norms[0] = 0.0      # lam = 0 (only at x = 0) weighs 0
     w = np.arange(-L, L + 1)
@@ -237,9 +238,7 @@ def decay_fit(
 
     Expected slope is -(l*d - k); samples are log-spaced integers in t_range.
     """
-    direction = _as_point(direction, "direction")
-    if len(direction) != spec.dim:
-        raise ParameterError(f"direction {direction!r} does not have dimension {spec.dim}")
+    direction = _as_point(direction, "direction", spec.dim)
     if all(c == 0 for c in direction):
         raise ParameterError("direction must be nonzero")
     try:
@@ -254,8 +253,7 @@ def decay_fit(
         raise ParameterError(f"t_range {t_range!r} spans less than one decade")
     if t_hi * max(map(abs, direction)) >= 1 << 63:
         raise ParameterError(f"t_max {t_hi} times direction {direction} leaves int64")
-    if num_samples > DEFAULT_SUPPORT_BUDGET:
-        raise BudgetError(f"{num_samples} samples exceed budget {DEFAULT_SUPPORT_BUDGET}")
+    _within_budget(num_samples, "decay samples")
     ts = sorted(
         {
             int(round(t_lo * (t_hi / t_lo) ** (i / (num_samples - 1))))
@@ -281,7 +279,11 @@ def decay_fit(
 
 
 def _ball_volume(dim: int, radius: float) -> float:
-    return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * radius**dim
+    """Volume of the radius ball in R^dim; inf past the float range."""
+    try:
+        return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * float(radius) ** dim
+    except OverflowError:
+        return math.inf
 
 
 def _region_exact_sum(spec: WitnessSpec, r_lo: float, r_hi: float, r_exp: float) -> float:
@@ -298,8 +300,8 @@ def _region_exact_sum(spec: WitnessSpec, r_lo: float, r_hi: float, r_exp: float)
     evaluation of every point would, in the same order: the bytes are equal.
     """
     lo2, R = int(r_lo) ** 2, int(r_hi)
-    if (R + 1) ** spec.dim > 1 << 63:   # a class key, digits |x_i| <= R in base R+1, fits int64
-        raise BudgetError(f"an exact region of radius {R} in Z^{spec.dim} is too large to enumerate")
+    # a class key, digits |x_i| <= R in base R+1, fits int64: (R+1)^d <= 2^63
+    _within_budget(R, f"radius of an exact region in Z^{spec.dim}", kth_root_floor(1 << 63, spec.dim) - 1)
     tail, tail_lev = _ball_offsets(spec.dim - 1, 2, R * R)
     place = (R + 1) ** np.arange(spec.dim, dtype=np.int64)
     keys = []
@@ -368,6 +370,8 @@ def partial_norm_scan(
         raise ParameterError(f"radii must be strictly increasing, got {radii!r}")
     seed, exact_budget = _as_int(seed, "seed", 0), _as_int(exact_budget, "exact_budget", 0)
     samples_per_region = _as_int(samples_per_region, "samples_per_region", 1)
+    # before any region: every radius, region volume and sampled d-th power is then a finite float
+    _within_budget(_ball_volume(spec.dim, radii[-1]), "volume of the outer ball", sys.float_info.max)
     edges = [0.0] + [float(R) for R in radii]
     region_sums: list[float] = []
     modes: list[str] = []

@@ -249,7 +249,7 @@ def test_exit_code_box_walk_budget(tmp_path, capsys, monkeypatch):
     # of 100, and walking the box a segment a step would take 307 steps
     path = tmp_path / "line.txt"
     path.write_text("2\n" + "".join(f"{i} 0 1.0\n" for i in range(15)) + "300 300 1.0\n")
-    monkeypatch.setattr(spherelab.operators, "DEFAULT_SUPPORT_BUDGET", 100)
+    monkeypatch.setattr(spherelab.grids, "DEFAULT_SUPPORT_BUDGET", 100)
     code, out, err = run_cli(
         ["dominate", "--dim", "2", "--degree", "2", "--lambda-max", "9",
          "--f", f"file:{path}", "--g", f"file:{path}"],
@@ -267,11 +267,12 @@ def test_exit_code_grid_file_and_decay_samples_past_the_support_budget(tmp_path,
     monkeypatch.setattr(spherelab.grids, "DEFAULT_SUPPORT_BUDGET", 3)
     code, out, err = run_cli(["hlmax", "--dim", "1", "--lambda-max", "4", "--fn", f"file:{path}"], capsys)
     assert code == 3 and out == ""
-    assert err.splitlines()[1] == "error (budget): grid file rows exceed the support budget 3"
+    assert err.splitlines()[1] == "error (budget): grid file rows: 4 exceeds the budget of 3"
+    monkeypatch.undo()      # the samples meet the support budget itself
     code, out, err = run_cli(["decay", "--dim", "5", "--direction", "1,0,0,0,0",
                               "--samples", "10000001"], capsys)
     assert code == 3 and out == ""
-    assert err.splitlines()[1] == "error (budget): 10000001 samples exceed budget 10000000"
+    assert err.splitlines()[1] == "error (budget): decay samples: 10000001 exceeds the budget of 10000000"
 
 
 _OVERFLOW = "0 0 0 0 0 1e308\n1 0 0 0 0 1e308\n"     # two points that sum past the float range
@@ -377,6 +378,19 @@ def test_exit_code_witness_budget(extra, capsys):
     code, _, err = run_cli(["witness"] + extra, capsys)
     assert code == 3
     assert "error (budget)" in err
+
+
+@pytest.mark.parametrize("radius, extra", [
+    (10**80, []), (10**80, ["--exact-budget", "0"]), (10**400, []),
+], ids=["10^80", "10^80-sampled", "10^400"])
+def test_exit_code_normscan_ball_volume_past_the_float_range(radius, extra, capsys):
+    # the outer ball's volume, or the radius itself, overflows a float: refused before any region
+    code, out, err = run_cli(["normscan", "--dim", "5", "--r", "0.7", "--radii", f"1,{radius}"]
+                             + extra, capsys)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 2      # the config echo and a one-line error
+    assert err.splitlines()[1] == ("error (budget): volume of the outer ball: inf exceeds the budget "
+                                   "of 1.7976931348623157e+308")
 
 
 @pytest.mark.parametrize("argv, want", [

@@ -290,14 +290,15 @@ def test_shell_budget(monkeypatch):
     # shell --dim 10 --lambda 100000 is tested in a child process, under a memory limit
     with pytest.raises(BudgetError):
         enumerate_shell(SphereSpec(2, 40), 2**62)       # levels near int64
-    with pytest.raises(BudgetError, match="20000001 points"):
+    with pytest.raises(BudgetError, match="points on the first axis of a k-ball of level "
+                                          "100000000000000: 20000001 exceeds the budget of 10000000"):
         enumerate_shell(SphereSpec(2, 2), 10**14)       # the first axis alone
     assert len(enumerate_shell(SphereSpec(2, 40), 2**62 - 1).points) == 0
     # r_4(100) = 744 points, from two 317-point half-balls
-    monkeypatch.setattr("spherelab.counts.DEFAULT_SUPPORT_BUDGET", 744)
+    monkeypatch.setattr("spherelab.grids.DEFAULT_SUPPORT_BUDGET", 744)
     assert len(enumerate_shell(SphereSpec(4, 2), 100).points) == 744
     for budget in (743, 316):
-        monkeypatch.setattr("spherelab.counts.DEFAULT_SUPPORT_BUDGET", budget)
+        monkeypatch.setattr("spherelab.grids.DEFAULT_SUPPORT_BUDGET", budget)
         with pytest.raises(BudgetError):
             enumerate_shell(SphereSpec(4, 2), 100)
 

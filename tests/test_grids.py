@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,9 @@ def test_immutability():
 def test_dimension_validation():
     with pytest.raises(ParameterError):
         GridFunction(2, {(1, 2, 3): 1.0})
+    for point in ((0, 0, 0), (0,)):      # value() reads a point by the constructor's rule
+        with pytest.raises(ParameterError, match=re.escape(f"point {point} does not have dimension 2")):
+            make_delta(2).value(point)
     # dim = -1 passes the box's budget check (3^-1 points), so dim is checked before it
     for dim in (-1, 0, 2.0, "2"):
         with pytest.raises(ParameterError, match="dim must be a positive integer"):
@@ -282,7 +286,7 @@ class _EndlessRows:
 
 def test_text_format_stops_reading_at_the_support_budget(monkeypatch):
     monkeypatch.setattr(grids, "DEFAULT_SUPPORT_BUDGET", 3)
-    with pytest.raises(BudgetError, match="rows exceed the support budget 3"):
+    with pytest.raises(BudgetError, match="grid file rows: 4 exceeds the budget of 3"):
         read_grid_text(_EndlessRows(4))
     # the budget itself is allowed, and blank lines do not count
     f = read_grid_text(io.StringIO("1\n1 1.0\n\n2 1.0\n3 0.0\n\n"))

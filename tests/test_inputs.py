@@ -14,6 +14,7 @@ import pytest
 
 import spherelab
 from spherelab import (
+    BudgetError,
     GridFunction,
     OperatorConfig,
     ParameterError,
@@ -135,19 +136,46 @@ def test_scan_r_is_read_once_as_a_float():
             partial_norm_scan(W, bad, [3, 6])
 
 
-def test_no_hand_written_integer_checks():
-    # an isinstance(<x>, int) check outside grids._as_int is a second integer rule: it refuses
-    # numpy integers, which every coordinate and parameter accepts
+def _calls_outside(function: str, matches) -> list[str]:
+    """file:line of each call in the package's modules that matches, outside every function
+    named function."""
     found = []
     for path in sorted(pathlib.Path(spherelab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         allowed = {id(node) for fn in ast.walk(tree)
-                   if isinstance(fn, ast.FunctionDef) and fn.name == "_as_int"
+                   if isinstance(fn, ast.FunctionDef) and fn.name == function
                    for node in ast.walk(fn)}
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "isinstance" and len(node.args) == 2
-                    and any(isinstance(n, ast.Name) and n.id == "int" for n in ast.walk(node.args[1]))
-                    and id(node) not in allowed):
-                found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and matches(node) and id(node) not in allowed]
+    return found
+
+
+def test_no_hand_written_integer_checks():
+    # an isinstance(<x>, int) check outside grids._as_int is a second integer rule: it refuses
+    # numpy integers, which every coordinate and parameter accepts
+    assert _calls_outside("_as_int", lambda call: (
+        isinstance(call.func, ast.Name) and call.func.id == "isinstance" and len(call.args) == 2
+        and any(isinstance(n, ast.Name) and n.id == "int" for n in ast.walk(call.args[1])))) == []
+
+
+def test_no_budget_error_outside_the_budget_rule():
+    # a BudgetError built outside grids._within_budget is a second budget rule, with its own
+    # wording and perhaps its own copy of the support budget, bound at import
+    assert _calls_outside("_within_budget", lambda call: (
+        getattr(call.func, "id", getattr(call.func, "attr", None)) == "BudgetError")) == []
+
+
+def test_one_support_budget_for_every_module(monkeypatch):
+    # every module reads grids.DEFAULT_SUPPORT_BUDGET at the call, so lowering it alone moves a
+    # site in each: a shell of 104 points (half-balls of 29), an output of 61 points, 61 decay
+    # samples and a box of 81 points
+    box = make_box_indicator(2, 1)
+    monkeypatch.setattr(spherelab.grids, "DEFAULT_SUPPORT_BUDGET", 60)
+    for what, call in [
+        ("shell points", lambda: enumerate_shell(SphereSpec(4, 2), 9)),
+        ("operator output points", lambda: hl_maximal(box, PLANE, 9)),
+        ("decay samples", lambda: decay_fit(W, AXIS, (10, 200), num_samples=61)),
+        ("box points", lambda: make_box_indicator(2, 4)),
+    ]:
+        with pytest.raises(BudgetError, match=f"^{what}: [0-9]+ exceeds the budget of 60$"):
+            call()

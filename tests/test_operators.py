@@ -28,7 +28,7 @@ from spherelab import (
     multilinear_maximal,
     rep_counts,
 )
-from spherelab import counts, operators
+from spherelab import counts, grids, operators
 
 from oracles import brute_multilinear, brute_shell
 
@@ -603,9 +603,8 @@ def test_ball_past_support_budget_is_pulled(monkeypatch):
     ball_offsets = operators._ball_offsets
     monkeypatch.setattr(operators, "_ball_offsets", lambda *a: balls.append(a) or ball_offsets(*a))
     outputs = []
-    for budget in (counts.DEFAULT_SUPPORT_BUDGET, 100):
-        monkeypatch.setattr(counts, "DEFAULT_SUPPORT_BUDGET", budget)
-        monkeypatch.setattr(operators, "DEFAULT_SUPPORT_BUDGET", budget)
+    for budget in (grids.DEFAULT_SUPPORT_BUDGET, 100):
+        monkeypatch.setattr(grids, "DEFAULT_SUPPORT_BUDGET", budget)
         balls.clear()
         outputs.append([
             repr(multilinear_average([f, g], 9, cfg).items_sorted()),
@@ -631,13 +630,13 @@ def test_box_walk_is_bounded(monkeypatch):
     monkeypatch.setattr(operators._Stencil, "walk", lambda *a: walked.append(a[1]) or walk(*a))
     want = repr(domination_check(f, f, spec, 9))
     assert walked == [0]
-    monkeypatch.setattr(operators, "DEFAULT_SUPPORT_BUDGET", 400)      # 420 pairs, 307 steps
+    monkeypatch.setattr(grids, "DEFAULT_SUPPORT_BUDGET", 400)      # 420 pairs, 307 steps
     walked.clear()
     assert repr(domination_check(f, f, spec, 9)) == want
     assert walked == []
-    monkeypatch.setattr(operators, "DEFAULT_SUPPORT_BUDGET", 100)      # 112 pairs, 307 steps
+    monkeypatch.setattr(grids, "DEFAULT_SUPPORT_BUDGET", 100)      # 112 pairs, 307 steps
     g = line_and_far_point(16)
-    with pytest.raises(BudgetError, match="box walk of 307 steps"):
+    with pytest.raises(BudgetError, match="box walk steps: 307 exceeds the budget of 100"):
         domination_check(g, g, spec, 9)
 
 
@@ -678,9 +677,9 @@ def test_output_support_budget(monkeypatch):
     # M(box) on Z^2 at lam_max = 9 is nonzero on 61 points; the output is
     # refused while it is built, before any GridFunction of it exists
     args = (make_box_indicator(2, 1), SphereSpec(2, 2), 9)
-    monkeypatch.setattr(operators, "DEFAULT_SUPPORT_BUDGET", 61)
+    monkeypatch.setattr(grids, "DEFAULT_SUPPORT_BUDGET", 61)
     assert hl_maximal(*args).support_size() == 61
-    monkeypatch.setattr(operators, "DEFAULT_SUPPORT_BUDGET", 60)
+    monkeypatch.setattr(grids, "DEFAULT_SUPPORT_BUDGET", 60)
     with pytest.raises(BudgetError):
         hl_maximal(*args)
 

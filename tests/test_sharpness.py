@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -31,7 +32,7 @@ from spherelab import (
     witness_values,
 )
 
-from spherelab import sharpness
+from spherelab import grids
 from spherelab.sharpness import _BLOCK_LEVELS
 
 from oracles import brute_witness
@@ -370,9 +371,9 @@ def test_decay_fit_errors():
 def test_decay_fit_sample_budget(monkeypatch):
     # the set of sample points grows with num_samples, so the count is refused before the loop;
     # W5's witness box of 3^5 = 243 points stays inside the lowered budget
-    monkeypatch.setattr(sharpness, "DEFAULT_SUPPORT_BUDGET", 250)
+    monkeypatch.setattr(grids, "DEFAULT_SUPPORT_BUDGET", 250)
     decay_fit(W5, (1, 0, 0, 0, 0), (10, 2000), num_samples=250)
-    with pytest.raises(BudgetError, match="251 samples exceed budget 250"):
+    with pytest.raises(BudgetError, match="decay samples: 251 exceeds the budget of 250"):
         decay_fit(W5, (1, 0, 0, 0, 0), (10, 2000), num_samples=251)
 
 
@@ -458,7 +459,8 @@ def test_norm_scan_parameter_errors():
     for radii in (5, None):
         with pytest.raises(ParameterError, match="radii"):
             partial_norm_scan(W5, 0.7, radii)
-    with pytest.raises(BudgetError, match="too large"):     # class keys would leave int64
+    with pytest.raises(BudgetError, match=re.escape(        # class keys would leave int64
+            "radius of an exact region in Z^5: 10000 exceeds the budget of 6207")):
         partial_norm_scan(W5, 0.7, [1, 10**4], exact_budget=10**30)
     for r in (math.inf, math.nan):
         with pytest.raises(ParameterError):
