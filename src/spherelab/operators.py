@@ -61,7 +61,7 @@ from .grids import GridFunction, _as_int, _within_budget
 from .reports import DominationReport
 
 _CHUNK_ROWS = 1 << 13       # rows per grid chunk
-_CHUNK_CELLS = 1 << 18      # cells per chunk (rows x levels): bounds working memory
+_CHUNK_CELLS = 1 << 18      # cells per chunk (levels x rows): bounds working memory
 _SLICE = 1 << 15            # pairs per scatter slice: its temporaries stay in cache
 
 
@@ -132,23 +132,24 @@ class _Stencil:
         self.key, self.prefix = key[self.start], offsets[:axis, self.start]
         self.tail = offsets[axis:]
         strides = np.array([math.prod(shape[i + 1 :]) for i in range(axis, len(shape))], np.int64)
-        self.cell = strides @ self.tail * self.width + levels   # row in a segment * width + level
-        self.supports = []      # per input: box-relative points split at axis, their cells, values
+        self.level, self.row = levels, strides @ self.tail      # per offset: level, row in a segment
+        self.supports = []      # per input: box-relative points split at axis, their rows, values
         for pts, vals in supports:
             head, tail = np.split((pts - lo).T, [axis])
             edge = np.array(shape[axis:])[:, None] - self.radius
             near = ((tail < self.radius) | (tail >= edge)).any(axis=0)  # some pair leaves the box
-            self.supports.append((head, tail, strides @ tail * self.width, near, vals))
+            self.supports.append((head, tail, strides @ tail, near, vals))
 
-    def pairs(self, j: int, pts: np.ndarray, run: np.ndarray, offset=0) -> np.ndarray:
-        """The cell in the segment (row there * width + level), plus offset[i] for pts[i], of each
-        pair that points pts of input j send through their runs, in order, or -1 where the pair
-        leaves the box."""
+    def pairs(self, j: int, pts: np.ndarray, run: np.ndarray, ball: np.ndarray,
+              offset=0) -> np.ndarray:
+        """The cell level * stride + row in the segment, plus offset[i] for pts[i], of each pair
+        that points pts of input j send through their runs, in order, or -1 where the pair leaves
+        the box; ball holds level * stride + row of each offset of B."""
         _, tail, base, near, _ = self.supports[j]
         k = self.length[run]
         ends = np.cumsum(k)
         idx = np.arange(ends[-1]) + np.repeat(self.start[run] - ends + k, k)
-        cells = self.cell[idx] + np.repeat(base[pts] + offset, k)
+        cells = ball[idx] + np.repeat(base[pts] + offset, k)
         edge = np.flatnonzero(np.repeat(near[pts], k))
         if len(edge):
             p, u, out = np.repeat(pts, k)[edge], idx[edge], np.zeros(len(edge), dtype=bool)
@@ -160,10 +161,12 @@ class _Stencil:
     def push(self, j: int, flat: np.ndarray):
         """Profile of input j on the sorted rows flat, or None where pulling them is cheaper.
 
-        The pairs land in the slab of segments from flat's first to its last.  A slab of more
-        than _CHUNK_CELLS rows, or of several segments that need more than _CHUNK_CELLS
-        (segment, point) lookups, is pulled; one of more than _CHUNK_CELLS cells is profiled on
-        flat's rows alone.  np.add.at adds the pairs in support order, in slices of about _SLICE.
+        The pairs land in the slab of segments from flat's first to its last, level-major: cell
+        level * (n + 1) + row of its n rows and a scratch row.  A slab of more than _CHUNK_CELLS
+        rows, or of several segments that need more than _CHUNK_CELLS (segment, point) lookups,
+        is pulled; one of more than _CHUNK_CELLS cells is profiled on flat's rows alone, at
+        level * len(flat) + slot.  np.add.at adds the pairs in support order, in slices of about
+        _SLICE.
         """
         head, _, _, near, vals = self.supports[j]
         r, width = self.radius, self.width
@@ -181,24 +184,27 @@ class _Stencil:
         if k.sum() + 2 * k[near[pts]].sum() >= len(flat) * len(vals):
             return None     # a pushed pair costs about as much as a pulled one, three near an edge
         full = n * width <= _CHUNK_CELLS    # else slot maps slab rows to those of flat
+        ball = self.level * (n + 1) + self.row      # slab cells level * (n + 1) + row; row n scratch
         if full:
-            prof = np.zeros((n + 1) * width)    # and a scratch row for the pairs that miss
+            prof = np.zeros(width * (n + 1))
         else:
             slot = np.full(n + 1, len(flat))
             slot[flat - first * self.size] = np.arange(len(flat))
-            prof = np.zeros((len(flat) + 1) * width)
+            prof = np.zeros(width * len(flat))
         before = np.cumsum(k) - k
         cuts = [*np.flatnonzero(np.diff(before // _SLICE, prepend=-1)).tolist(), len(pts)]
         for a, b in zip(cuts, cuts[1:]):
-            cells = self.pairs(j, pts[a:b], run[a:b], seg[a:b] * (self.size * width))
-            cells[cells < 0] = n * width
-            if not full:
-                cells = slot[cells // width] * width + cells % width
-            np.add.at(prof, cells, np.repeat(vals[pts[a:b]], k[a:b]))
-        prof = prof.reshape(-1, width)
+            cells = self.pairs(j, pts[a:b], run[a:b], ball, seg[a:b] * self.size)
+            cells[cells < 0] = n        # the pairs that leave the box land in the scratch row
+            add = np.repeat(vals[pts[a:b]], k[a:b])
+            if not full:    # only the pairs on flat's rows, at level * len(flat) + their slot
+                row = slot[cells % (n + 1)]
+                hit = row < len(flat)
+                cells, add = (cells // (n + 1) * len(flat) + row)[hit], add[hit]
+            np.add.at(prof, cells, add)
         if full:
-            return prof[flat - first * self.size]
-        return prof[:-1]
+            return prof.reshape(width, n + 1).take(flat - first * self.size, axis=1)
+        return prof.reshape(width, len(flat))
 
     def walk(self, j: int, rows: int):
         """Yield (flat rows, profile of input j on them or None), in order, over the segments that
@@ -208,7 +214,8 @@ class _Stencil:
         slower); the others are profiled on the rows reached, `rows` at a time, by one bincount
         in support order.  j's runs into the box are found in blocks of _CHUNK_CELLS."""
         head, _, _, _, vals = self.supports[j]
-        dims, width = self.shape[: self.axis], self.width
+        dims, width, size = self.shape[: self.axis], self.width, self.size
+        ball = self.level * size + self.row        # pair cells level * size + row in the segment
         step, parts = max(1, _CHUNK_CELLS // len(self.key)), []
         for a in range(0, len(vals), step):
             seg = head[:, a : a + step, None] + self.prefix[:, None, :]
@@ -225,25 +232,26 @@ class _Stencil:
             if seg[a] == seg[b - 1]:
                 yield np.arange(seg[a] * self.size, (seg[a] + 1) * self.size), None
                 continue
-            cells = self.pairs(j, pts[a:b], run[a:b])
+            cells = self.pairs(j, pts[a:b], run[a:b], ball)
             k, inside = self.length[run[a:b]], cells >= 0
-            p, level = np.repeat(pts[a:b], k)[inside], cells[inside] % width
-            reached = np.repeat(seg[a:b], k)[inside] * self.size + cells[inside] // width
+            p, level = np.repeat(pts[a:b], k)[inside], cells[inside] // size
+            reached = np.repeat(seg[a:b], k)[inside] * size + cells[inside] % size
             flat, slot = np.unique(reached, return_inverse=True)
             for c in range(0, len(flat), rows):
-                part = slot // rows == c // rows
-                cell = (slot[part] - c) * width + level[part]
-                prof = np.bincount(cell, vals[p[part]], minlength=len(flat[c : c + rows]) * width)
-                yield flat[c : c + rows], prof.reshape(-1, width)
+                part, m = slot // rows == c // rows, len(flat[c : c + rows])
+                cell = level[part] * m + (slot[part] - c)
+                prof = np.bincount(cell, vals[p[part]], minlength=width * m)
+                yield flat[c : c + rows], prof.reshape(width, m)
 
 
 def _level_profile(points: np.ndarray, sup_pts: np.ndarray, sup_vals: np.ndarray, degree: int,
                    lam_max: int, cap: int | None) -> np.ndarray:
-    """Profile A(i, nu) = sum over the support of f(s) at level nu = |x_i - s|^k, pulled: the
-    (row, point) pairs are taken in slices of about _SLICE and added by np.add.at.  Unless cap is
-    None, each x_i - s_i is first clipped to [-cap, cap], cap past the k-ball's radius."""
+    """Profile A(nu, i) = sum over the support of f(s) at level nu = |x_i - s|^k, as a
+    (lam_max + 1, len(points)) array, pulled: the (row, point) pairs are taken in slices of about
+    _SLICE and added by np.add.at at cell nu * len(points) + i.  Unless cap is None, each
+    x_i - s_i is first clipped to [-cap, cap], cap past the k-ball's radius."""
     n, width = len(points), lam_max + 1
-    prof = np.zeros(n * width)
+    prof = np.zeros(width * n)
     block = min(_SLICE, len(sup_vals))
     step = max(1, _SLICE // block)
     lev_buf = np.empty((min(n, step), block), dtype=np.int64)
@@ -251,7 +259,6 @@ def _level_profile(points: np.ndarray, sup_pts: np.ndarray, sup_vals: np.ndarray
     for r in range(0, n, step):
         pts = points[r : r + step]
         rows = len(pts)
-        row_base = np.arange(r, r + rows, dtype=np.int64)[:, None] * width
         for s in range(0, len(sup_vals), block):
             sup = sup_pts[s : s + block]          # (B, d)
             vals = sup_vals[s : s + block]        # (B,)
@@ -267,30 +274,38 @@ def _level_profile(points: np.ndarray, sup_pts: np.ndarray, sup_vals: np.ndarray
                     np.power(np.abs(term, out=term), degree, out=term)
                 if axis:
                     lev += tmp
-            mask = lev <= lam_max
-            idx = np.add(lev, row_base, out=tmp)[mask]
-            np.add.at(prof, idx, np.broadcast_to(vals[None, :], mask.shape)[mask])
-    return prof.reshape(n, width)
+            row, col = np.nonzero(lev <= lam_max)      # only these levels are multiplied
+            np.add.at(prof, lev[row, col] * n + (row + r), vals[col])
+    return prof.reshape(width, n)
 
 
 def _level_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise truncated convolution along the level axis.
+    """Truncated convolution of two (levels, rows) profiles along the level axis, row by row.
 
     A level of a that is nonzero in fewer than a quarter of the rows updates
     only those rows.  The terms skipped are exact zeros added to sums that
     are never -0.0, so every value is the same as in the dense update.
     """
-    n, width = a.shape
+    width, n = a.shape
     out = np.zeros_like(a)
     nz = a != 0
-    for mu, count in enumerate(np.count_nonzero(nz, axis=0).tolist()):
+    for mu, count in enumerate(np.count_nonzero(nz, axis=1).tolist()):
         if count == 0:
             continue
         if 4 * count < n:
-            rows = np.flatnonzero(nz[:, mu])
-            out[rows, mu:] += a[rows, mu][:, None] * b[rows, : width - mu]
+            rows = np.flatnonzero(nz[mu])
+            out[mu:, rows] += a[mu, rows] * b[: width - mu].take(rows, axis=1)
         else:
-            out[:, mu:] += a[:, mu][:, None] * b[:, : width - mu]
+            out[mu:] += a[mu] * b[: width - mu]
+    return out
+
+
+def _cumulate(a: np.ndarray) -> np.ndarray:
+    """Cumulative sums over the levels of a (levels, rows) profile, a level row at a time
+    (np.cumsum along the level axis runs as slowly as along short rows)."""
+    out = a.copy()
+    for mu in range(1, len(out)):
+        out[mu] += out[mu - 1]
     return out
 
 
@@ -308,9 +323,11 @@ def _engine(fs: list[GridFunction], degree: int, lam_max: int):
     The box, corner lo, is the supports' bounding boxes dilated by floor(lam_max^(1/k)) in
     sup-norm, intersected.  live yields (points, flat, profiles) per chunk of live rows (no input's
     profile identically zero) in lexicographic order: their coordinates, their row-major indices
-    in the box, and profiles[j] the levels 0..lam_max of fs[j].  unit profiles a unit of rows
-    smallest support first, dropping empty rows as they appear, and reads only the stencil and
-    the supports.  The units are the stencil's walk of the smallest support's reach when a
+    in the box, and profiles[j] the profile of fs[j], a C-contiguous (lam_max + 1, len(flat))
+    array.  Level-major, every reduction over the levels runs along contiguous rows; numpy
+    reduces a short last axis about ten times slower.  unit profiles a unit of rows smallest
+    support first, dropping empty rows as they appear, and reads only the stencil and the
+    supports.  The units are the stencil's walk of the smallest support's reach when a
     stencil exists and that support has at most DEFAULT_SUPPORT_BUDGET (point, run) pairs, else
     one box walk, a segment (or without a stencil a chunk) a step, refused with BudgetError past
     DEFAULT_SUPPORT_BUDGET steps.  A box of one chunk, a k-ball past the support budget, or a run
@@ -355,12 +372,13 @@ def _engine(fs: list[GridFunction], degree: int, lam_max: int):
                 if points is None:
                     points = np.stack(np.unravel_index(flat, shape), axis=1) + lo
                 prof = _level_profile(points, *supports[j], degree, lam_max, caps[j])
-            keep = prof.any(axis=1)
+            keep = prof.any(axis=0)
             if not keep.all():
                 if not keep.any():
                     return None
-                flat, prof = flat[keep], prof[keep]
-                profiles = [p if p is None else p[keep] for p in profiles]
+                # compress stays C-contiguous; prof[:, keep] would copy in F order
+                flat, prof = flat[keep], prof.compress(keep, axis=1)
+                profiles = [p if p is None else p.compress(keep, axis=1) for p in profiles]
                 points = None if points is None else points[keep]
             profiles[j] = prof
         if points is None:
@@ -417,7 +435,7 @@ def multilinear_average(fs: list[GridFunction], lam: int, cfg: OperatorConfig) -
     if cfg.normalization is Normalization.EXACT and norms[lam] == 0.0:
         warnings.warn(f"empty sphere at lam={lam}: average defined as 0", EmptySphereWarning)
         return GridFunction(cfg.spec.dim, {})
-    return _evaluate(fs, cfg.spec.degree, lam, lambda profs: _fold(profs)[:, lam] / norms[lam])
+    return _evaluate(fs, cfg.spec.degree, lam, lambda profs: _fold(profs)[lam] / norms[lam])
 
 
 def multilinear_maximal(fs: list[GridFunction], cfg: OperatorConfig) -> GridFunction:
@@ -429,7 +447,7 @@ def multilinear_maximal(fs: list[GridFunction], cfg: OperatorConfig) -> GridFunc
         return GridFunction(cfg.spec.dim, {})
     return _evaluate(
         fs, cfg.spec.degree, cfg.lambda_max,
-        lambda profs: (np.abs(_fold(profs)[:, levels]) / norms[levels]).max(axis=1),
+        lambda profs: (np.abs(_fold(profs)[levels]) / norms[levels, None]).max(axis=0),
     )
 
 
@@ -443,7 +461,7 @@ def hl_maximal(f: GridFunction, spec: SphereSpec, lambda_max: int) -> GridFuncti
     pts, vals = f.arrays()
     return _evaluate(
         [GridFunction._from_arrays(f.dim, pts, np.abs(vals))], spec.degree, lambda_max,
-        lambda profs: (np.cumsum(profs[0], axis=1)[:, 1:] * weights).max(axis=1),
+        lambda profs: (_cumulate(profs[0])[1:] * weights[:, None]).max(axis=0),
     )
 
 
@@ -457,7 +475,7 @@ def linear_spherical_maximal(g: GridFunction, spec: SphereSpec, lambda_max: int)
     weights = np.arange(1, lambda_max + 1, dtype=np.float64) ** (-(spec.dim / spec.degree - 1.0))
     return _evaluate(
         [g], spec.degree, lambda_max,
-        lambda profs: (np.abs(profs[0][:, 1:]) * weights).max(axis=1),
+        lambda profs: (np.abs(profs[0][1:]) * weights[:, None]).max(axis=0),
     )
 
 
@@ -505,9 +523,9 @@ def domination_check_multilinear(
             live += int(np.count_nonzero(flat == np.arange(live, live + len(flat))))
             a, rest = profs[0], _fold(profs[1:])
             joint = _level_convolve(a, rest)
-            lhs = (joint[:, 1:] / full_norm[1:]).max(axis=1)
-            m_side = (np.cumsum(a, axis=1)[:, 1:] * ball_w).max(axis=1)
-            s_side = (rest / rest_norm).max(axis=1)   # includes the level-zero term
+            lhs = (joint[1:] / full_norm[1:, None]).max(axis=0)
+            m_side = (_cumulate(a)[1:] * ball_w[:, None]).max(axis=0)
+            s_side = (rest / rest_norm[:, None]).max(axis=0)   # includes the level-zero term
             viol = lhs - m_side * s_side
             bad = ~np.isfinite(viol)        # both sides are >= 0: only a non-finite side
             if bad.any():

@@ -370,8 +370,10 @@ def partial_norm_scan(
         raise ParameterError(f"radii must be strictly increasing, got {radii!r}")
     seed, exact_budget = _as_int(seed, "seed", 0), _as_int(exact_budget, "exact_budget", 0)
     samples_per_region = _as_int(samples_per_region, "samples_per_region", 1)
-    # before any region: every radius, region volume and sampled d-th power is then a finite float
+    # before any region: every radius, region volume and sampled d-th power is then a finite float,
+    # and every rounded sample fits int64
     _within_budget(_ball_volume(spec.dim, radii[-1]), "volume of the outer ball", sys.float_info.max)
+    _within_budget(radii[-1], "outer radius (int64 samples)", (1 << 62) - 1)
     edges = [0.0] + [float(R) for R in radii]
     region_sums: list[float] = []
     modes: list[str] = []

@@ -393,6 +393,20 @@ def test_exit_code_normscan_ball_volume_past_the_float_range(radius, extra, caps
                                    "of 1.7976931348623157e+308")
 
 
+@pytest.mark.parametrize("radius", [10**19, 10**30])
+def test_exit_code_normscan_radius_past_int64_samples(radius, capsys):
+    # a sampled region rounds its points to int64, which 2^62 and more could pass: the outer
+    # radius is refused before any region, with no cast warning and one error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["normscan", "--dim", "5", "--r", "0.7", "--radii", f"1,{radius}"],
+                                 capsys)
+    assert caught == []
+    assert code == 3 and out == ""
+    assert err.splitlines()[1:] == [f"error (budget): outer radius (int64 samples): {radius} "
+                                    "exceeds the budget of 4611686018427387903"]
+
+
 @pytest.mark.parametrize("argv, want", [
     # witness levels past 2^62 would wrap int64: the first two printed 0.0, not about 5.6e-20
     # and 2.6e-7, and the decay fit found its values vanished

@@ -493,10 +493,10 @@ def spy_profile_rows(monkeypatch) -> list[tuple[str, int | None, int]]:
     return built
 
 
-def test_push_matches_pull(monkeypatch):
-    # one box-sized chunk pulls every profile; chunks of 256 cells (25 rows) and 64-pair slices
-    # push them through the k-ball, gather the rows the smallest support reaches in sparse
-    # segments, or pull them where few rows stay live
+def push_gather_pull_calls() -> list:
+    """Operator calls at lam_max = 9 in Z^3 that, in chunks of 256 cells (25 rows) and 64-pair
+    slices, push profiles through the k-ball, gather the rows the smallest support reaches in
+    sparse segments, and pull them where few rows stay live; the last four are domination checks."""
     rng = random.Random(606)
     spec = SphereSpec(3, 2)
     lam_max = 9
@@ -505,7 +505,7 @@ def test_push_matches_pull(monkeypatch):
     far = GridFunction(3, {(0, 0, 0): 0.5, (20, 3, 1): -1.25, (4, 20, 7): 0.75, (12, 9, 20): 1.5})
     near = GridFunction(3, {**far.values, (5, 5, 5): -0.25, (15, 2, 18): 2.0})
     cfg = OperatorConfig(spec, 2, lam_max, Normalization.ASYMPTOTIC)
-    calls = [
+    return [
         lambda: multilinear_average([f, g], lam_max, cfg),
         lambda: multilinear_maximal([g, f], cfg),
         lambda: hl_maximal(f, spec, lam_max),
@@ -520,6 +520,13 @@ def test_push_matches_pull(monkeypatch):
             GridFunction(3, {p: abs(v) for p, v in b.values.items()}), spec, lam_max)
         for a, b in ((f, g), (g, f), (far, near), (near, far))
     ]
+
+
+def test_push_matches_pull(monkeypatch):
+    # one box-sized chunk pulls every profile; chunks of 256 cells (25 rows) and 64-pair slices
+    # push them through the k-ball, gather the rows the smallest support reaches in sparse
+    # segments, or pull them where few rows stay live
+    calls = push_gather_pull_calls()
     built = spy_profile_rows(monkeypatch)
     sent, left, pushing = [], [], []    # per push (pairs by 256-point range, segments); edges
     push, pairs = operators._Stencil.push, operators._Stencil.pairs
@@ -557,6 +564,57 @@ def test_push_matches_pull(monkeypatch):
     assert any(left)                                                    # edge masks applied
     for pulled, pushed in zip(*outputs):
         assert pulled == pushed
+
+
+def test_profiles_reach_the_reductions_level_major(monkeypatch):
+    # every profile an operator reduces is a C-contiguous float64 (lam_max + 1, len(flat)) array,
+    # whether pushed, gathered or pulled, and also after the live-row filter cut it down, where a
+    # boolean column index would hand the reductions an F-ordered copy
+    built = spy_profile_rows(monkeypatch)
+    made = []       # every profile as built, kept alive so that ids stay unique
+    push, walk, pull = operators._Stencil.push, operators._Stencil.walk, operators._level_profile
+
+    def keep_push(self, j, flat):
+        made.append(push(self, j, flat))
+        return made[-1]
+
+    def keep_walk(self, j, rows):
+        for flat, prof in walk(self, j, rows):
+            made.append(prof)
+            yield flat, prof
+
+    def keep_pull(*args):
+        made.append(pull(*args))
+        return made[-1]
+
+    reached, engine = [], operators._engine
+
+    def spy_engine(fs, degree, lam_max):
+        got = engine(fs, degree, lam_max)
+        if got is None:
+            return None
+        lo, shape, live = got
+        return lo, shape, ((reached.append((lam_max, flat, profiles)) or (points, flat, profiles))
+                           for points, flat, profiles in live)
+
+    monkeypatch.setattr(operators._Stencil, "push", keep_push)
+    monkeypatch.setattr(operators._Stencil, "walk", keep_walk)
+    monkeypatch.setattr(operators, "_level_profile", keep_pull)
+    monkeypatch.setattr(operators, "_engine", spy_engine)
+    monkeypatch.setattr(operators, "_CHUNK_ROWS", 64)
+    monkeypatch.setattr(operators, "_CHUNK_CELLS", 1 << 8)
+    monkeypatch.setattr(operators, "_SLICE", 64)
+    for call in push_gather_pull_calls():
+        call()
+    assert {how for how, _, _ in built} == {"push", "gather", "pull"}
+    as_built = {id(p) for p in made if p is not None}
+    filtered = 0
+    for lam_max, flat, profiles in reached:
+        for p in profiles:
+            assert p.dtype == np.float64 and p.shape == (lam_max + 1, len(flat))
+            assert p.flags.c_contiguous
+            filtered += id(p) not in as_built
+    assert filtered > 0
 
 
 def test_slabs_out_of_reach_are_skipped(monkeypatch):
@@ -699,24 +757,24 @@ def test_ball_offsets_are_the_shells_up_to_lambda(dim, degree):
 
 
 def test_level_convolve_sparse_rows_match_dense_update():
-    # the dense update, term by term, with no skipped rows or levels
+    # profiles are (levels, rows); the dense update, term by term, with no skipped rows or levels
     def dense(a, b):
         out = np.zeros_like(a)
-        for mu in range(a.shape[1]):
-            out[:, mu:] += a[:, mu][:, None] * b[:, : a.shape[1] - mu]
+        for mu in range(a.shape[0]):
+            out[mu:] += a[mu][None, :] * b[: a.shape[0] - mu]
         return out
 
     rng = np.random.default_rng(11)
     n, width = 40, 17
-    a = rng.uniform(-1, 1, size=(n, width))
-    b = rng.uniform(-1, 1, size=(n, width))
-    a[rng.random((n, width)) < 0.9] = 0.0        # most levels below n/4 rows
-    a[:, 3] = rng.uniform(-1, 1, size=n)          # one dense level
-    a[:, 5] = 0.0                                 # one empty level
-    a[7] = 0.0                                    # all-zero rows in a and b
-    b[9] = 0.0
-    b[rng.random((n, width)) < 0.3] = 0.0
-    counts = np.count_nonzero(a, axis=0)
+    a = rng.uniform(-1, 1, size=(width, n))
+    b = rng.uniform(-1, 1, size=(width, n))
+    a[rng.random((width, n)) < 0.9] = 0.0        # most levels below n/4 rows
+    a[3] = rng.uniform(-1, 1, size=n)             # one dense level
+    a[5] = 0.0                                    # one empty level
+    a[:, 7] = 0.0                                 # all-zero rows in a and b
+    b[:, 9] = 0.0
+    b[rng.random((width, n)) < 0.3] = 0.0
+    counts = np.count_nonzero(a, axis=1)
     assert (4 * counts < n).any() and (4 * counts >= n).any() and (counts == 0).any()
     assert operators._level_convolve(a, b).tobytes() == dense(a, b).tobytes()
     assert operators._level_convolve(b, a).tobytes() == dense(b, a).tobytes()
