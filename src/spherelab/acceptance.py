@@ -83,25 +83,21 @@ def brute_multilinear(
     """Joint-sphere walk in Z^(l*d), l = len(fs): the sum behind T_lam, point by point."""
     ell = len(fs)
     shell = brute_shell(dim * ell, degree, lam)
+    support, others = fs[0].items_sorted(), [dict(f.values) for f in fs[1:]]    # read once
     acc: dict[tuple[int, ...], float] = {}
     for w in shell:
         parts = [w[j * dim : (j + 1) * dim] for j in range(ell)]
-        for y, v0 in fs[0].items_sorted():
+        for y, v0 in support:
             x = tuple(a + b for a, b in zip(y, parts[0]))
             prod = v0
-            for j in range(1, ell):
-                prod *= fs[j].value(tuple(a - b for a, b in zip(x, parts[j])))
+            for vals, u in zip(others, parts[1:]):
+                prod *= vals.get(tuple(a - b for a, b in zip(x, u)), 0.0)
                 if prod == 0.0:
                     break
             if prod != 0.0:
                 acc[x] = acc.get(x, 0.0) + prod
-    if exact:
-        n_points = len(shell)
-        if n_points == 0:
-            return {}
-        return {x: v / n_points for x, v in acc.items() if v != 0.0}
-    norm = float(lam) ** (ell * dim / degree - 1.0)
-    return {x: v / norm for x, v in acc.items() if v != 0.0}
+    norm = len(shell) if exact else float(lam) ** (ell * dim / degree - 1.0)
+    return {x: v / norm for x, v in acc.items() if v != 0.0}     # acc is empty if shell is
 
 
 def random_sparse_function(rng, dim: int, *, nonnegative: bool, max_support: int = 8,
@@ -189,11 +185,10 @@ def experiment_3() -> tuple[str, bool, dict]:
             warnings.simplefilter("ignore")
             got = multilinear_average(fs, lam, cfg)
         want = brute_multilinear(fs, lam, d, k, exact)
-        keys = set(got.values) | set(want.keys())
+        got_vals = got.values
         scale = max((abs(v) for v in want.values()), default=1.0) or 1.0
-        for key in keys:
-            diff = abs(got.value(key) - want.get(key, 0.0))
-            rel = diff / scale
+        for key in set(got_vals) | set(want):
+            rel = abs(got_vals.get(key, 0.0) - want.get(key, 0.0)) / scale
             worst = max(worst, rel)
             if rel > 1e-12:
                 failures.append({"trial": trial, "dim": d, "linearity": ell,

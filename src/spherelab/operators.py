@@ -309,6 +309,13 @@ def _cumulate(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _hl_reduction(spec: SphereSpec, lambda_max: int):
+    """M's reduction of a unit's profiles: max over 1 <= lam <= lambda_max of lam^(-d/k) times the
+    ball sum, levels 0..lam, of the first profile (nonnegative, (lambda_max + 1, rows))."""
+    weights = np.arange(1, lambda_max + 1, dtype=np.float64) ** (-spec.dim / spec.degree)
+    return lambda profs: (_cumulate(profs[0])[1:] * weights[:, None]).max(axis=0)
+
+
 def _fold(profiles: list[np.ndarray]) -> np.ndarray:
     """Left fold of level convolutions, ((A_1 * A_2) * A_3) * ..."""
     out = profiles[0]
@@ -457,11 +464,10 @@ def hl_maximal(f: GridFunction, spec: SphereSpec, lambda_max: int) -> GridFuncti
     M(f)(x) = max_{1 <= lam <= lambda_max} lam^(-d/k) * sum_{|u|^k <= lam} |f(x-u)|.
     """
     lambda_max = _validate([f], spec, lambda_max)
-    weights = np.arange(1, lambda_max + 1, dtype=np.float64) ** (-spec.dim / spec.degree)
     pts, vals = f.arrays()
     return _evaluate(
         [GridFunction._from_arrays(f.dim, pts, np.abs(vals))], spec.degree, lambda_max,
-        lambda profs: (_cumulate(profs[0])[1:] * weights[:, None]).max(axis=0),
+        _hl_reduction(spec, lambda_max),
     )
 
 
@@ -505,12 +511,11 @@ def domination_check_multilinear(
             f"({len(fs)} - 1) * {spec.dim} < {spec.degree} (the spherical "
             "normalization is not monotone there and the bound fails)"
         )
-    d, k, ell = spec.dim, spec.degree, len(fs)
-    full_norm = _norm_factors(spec, ell, Normalization.ASYMPTOTIC, lambda_max)
-    rest_norm = _norm_factors(spec, ell - 1, Normalization.ASYMPTOTIC, lambda_max)
-    ball_w = np.arange(1, lambda_max + 1, dtype=np.float64) ** (-d / k)
+    full_norm = _norm_factors(spec, len(fs), Normalization.ASYMPTOTIC, lambda_max)
+    rest_norm = _norm_factors(spec, len(fs) - 1, Normalization.ASYMPTOTIC, lambda_max)
+    m_reduce = _hl_reduction(spec, lambda_max)
 
-    engine = _engine(fs, k, lambda_max)
+    engine = _engine(fs, spec.degree, lambda_max)
     if engine is None:
         return DominationReport(0.0, None, lambda_max, 0)
     lo, shape, chunks = engine
@@ -524,7 +529,7 @@ def domination_check_multilinear(
             a, rest = profs[0], _fold(profs[1:])
             joint = _level_convolve(a, rest)
             lhs = (joint[1:] / full_norm[1:, None]).max(axis=0)
-            m_side = (_cumulate(a)[1:] * ball_w[:, None]).max(axis=0)
+            m_side = m_reduce(profs)
             s_side = (rest / rest_norm[:, None]).max(axis=0)   # includes the level-zero term
             viol = lhs - m_side * s_side
             bad = ~np.isfinite(viol)        # both sides are >= 0: only a non-finite side

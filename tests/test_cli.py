@@ -313,7 +313,10 @@ def test_exit_code_operator_output_past_the_value_and_coordinate_rules(argv, row
     (["maxop", "--dim", "5", "--linearity", "2", "--lambda-max", "12", "--fn", "box:1",
       "--fn", "box:1"],
      "b1399ad8887e33c01038cc5a78f2a5fae502c37c6da63dec117d838f8346085d"),
-], ids=["hlmax", "sphmax", "maxop"])
+    (["dominate", "--dim", "5", "--degree", "2", "--lambda-max", "50", "--f", "box:1", "--g",
+      "delta"],
+     "449f0f5f81ea964159b4201e4a31330821944387482dca6b483c246d79ce5f75"),
+], ids=["hlmax", "sphmax", "maxop", "dominate"])
 def test_operator_output_bytes_are_pinned(argv, sha256, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0

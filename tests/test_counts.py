@@ -89,7 +89,7 @@ def test_joint_count_matches_examples():
 
 
 def test_joint_count_paths_agree():
-    for dim, degree, ell in [(1, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)]:
+    for dim, degree, ell in [(1, 2, 2), (2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)]:
         spec = SphereSpec(dim, degree)
         for lam in range(0, 40):
             base = list(rep_counts(spec, lam).counts)

@@ -11,16 +11,12 @@ from spherelab import (
     BudgetError,
     GridFunction,
     ParameterError,
-    SphereSpec,
     make_box_indicator,
     make_delta,
     read_grid_text,
-    rep_counts,
     write_grid_text,
 )
 from spherelab import grids
-
-from oracles import slice_family
 
 
 def random_function(rng, dim, size=6, span=4):
@@ -144,82 +140,6 @@ def test_non_finite_values_rejected():
         with pytest.raises(ParameterError):
             GridFunction(2, {(0, 0): 1.0, (1, 0): bad})
     assert GridFunction(1, {(0,): np.array(2.5)}).value((0,)) == 2.5     # a 0-d number array
-
-
-def test_slice_family_delta_gives_shell_indicators():
-    spec = SphereSpec(2, 2)
-    fam = slice_family(make_delta(2), spec, 8)
-    table = rep_counts(spec, 8)
-    for mu in range(9):
-        sl = fam.slice(mu)
-        assert sl.support_size() == table.count(mu)
-        assert all(v == 1.0 for _, v in sl.items_sorted())
-        assert all(p[0] ** 2 + p[1] ** 2 == mu for p, _ in sl.items_sorted())
-
-
-def test_slice_family_interval_example():
-    fam = slice_family(make_box_indicator(1, 1), SphereSpec(1, 2), 1)
-    assert fam.slice(0) == make_box_indicator(1, 1)
-    f1 = fam.slice(1)
-    assert [f1.value((x,)) for x in range(-2, 3)] == [1.0, 1.0, 2.0, 1.0, 1.0]
-
-
-def test_slice_mass_bookkeeping():
-    spec = SphereSpec(2, 2)
-    rng = random.Random(3)
-    f = random_function(rng, 2)
-    table = rep_counts(spec, 10)
-    fam = slice_family(f, spec, 10)
-    for mu in range(11):
-        mass = sum(fam.slice(mu).values.values())
-        assert mass == pytest.approx(table.count(mu) * sum(f.values.values()), rel=1e-12)
-
-
-def test_slice_support_inside_dilated_bbox():
-    spec = SphereSpec(2, 2)
-    f = make_box_indicator(2, 1)
-    fam = slice_family(f, spec, 9)
-    for mu in range(10):
-        radius = math.isqrt(mu)
-        for p, _ in fam.slice(mu).items_sorted():
-            assert all(abs(c) <= 1 + radius for c in p)
-
-
-def test_slice_family_linearity():
-    spec = SphereSpec(2, 2)
-    rng = random.Random(5)
-    f = random_function(rng, 2)
-    g = random_function(rng, 2)
-    keys = set(f.values) | set(g.values)
-    combo = GridFunction(2, {p: 1.7 * f.value(p) - 0.4 * g.value(p) for p in keys})
-    fam_combo = slice_family(combo, spec, 6)
-    fam_f = slice_family(f, spec, 6)
-    fam_g = slice_family(g, spec, 6)
-    for mu in range(7):
-        got, sf, sg = fam_combo.slice(mu), fam_f.slice(mu), fam_g.slice(mu)
-        for key in set(got.values) | set(sf.values) | set(sg.values):
-            want = 1.7 * sf.value(key) - 0.4 * sg.value(key)
-            assert got.value(key) == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
-def test_slice_family_translation():
-    spec = SphereSpec(2, 2)
-    rng = random.Random(9)
-    f = random_function(rng, 2)
-
-    def shifted(h):
-        return GridFunction(2, {(p[0] + 2, p[1] - 3): v for p, v in h.values.items()})
-
-    fam = slice_family(f, spec, 5)
-    fam_shifted = slice_family(shifted(f), spec, 5)
-    for mu in range(6):
-        assert fam_shifted.slice(mu) == shifted(fam.slice(mu))
-
-
-def test_slice_budget_error_names_level():
-    f = make_box_indicator(2, 2)
-    with pytest.raises(BudgetError, match="mu="):
-        slice_family(f, SphereSpec(2, 2), 50, work_budget=100)
 
 
 def test_text_format_round_trip():
