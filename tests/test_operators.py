@@ -137,6 +137,22 @@ def test_translation_equivariance_exact():
     assert moved == shifted(direct)  # bit-exact, same reduction order
 
 
+def test_level_convolution_identity_against_counts():
+    # exact normalization denominator equals the level convolution of r_{d,k}
+    spec = SphereSpec(2, 2)
+    table = rep_counts(spec, 30)
+    for ell in (2, 3):
+        for lam in range(31):
+            conv = 0
+            if ell == 2:
+                conv = sum(table.count(m) * table.count(lam - m) for m in range(lam + 1))
+            else:
+                for m1 in range(lam + 1):
+                    for m2 in range(lam + 1 - m1):
+                        conv += table.count(m1) * table.count(m2) * table.count(lam - m1 - m2)
+            assert conv == joint_count(spec, ell, lam)
+
+
 def test_maximal_two_deltas():
     cfg = OperatorConfig(SphereSpec(1, 2), 2, 10, Normalization.EXACT)
     d = make_delta(1)
