@@ -8,15 +8,15 @@ never into the payload.
 
 The brute-force oracles below are the only copies in the project: the test
 suite and the benchmark reach them through tests/oracles.py.  They are
-deliberately independent of the library paths they check: representation
-counts are re-derived by full coordinate enumeration, shells by recursive
-descent over the coordinates, and multilinear averages by walking the joint
+deliberately independent of the library paths they check: shells come from a
+recursive descent over the coordinates, representation counts are the
+shell oracle's points per level, and multilinear averages walk the joint
 sphere in Z^(l*d) directly.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import warnings
 from fractions import Fraction
 
@@ -42,38 +42,27 @@ ACCEPTANCE_SEED = 20250808
 # ---------------------------------------------------------------------------
 
 def brute_rep_count_table(dim: int, degree: int, lam_max: int) -> list[int]:
-    """Histogram of sum |u_i|^k over a full coordinate enumeration."""
-    out = [0] * (lam_max + 1)
-    root = 0
-    while (root + 1) ** degree <= lam_max:
-        root += 1
-    coords = range(-root, root + 1)
-    powers = {y: abs(y) ** degree for y in coords}
-    for u in itertools.product(coords, repeat=dim):
-        s = sum(powers[c] for c in u)
-        if s <= lam_max:
-            out[s] += 1
-    return out
+    """Number of points on each shell sum |u_i|^k = lam, 0 <= lam <= lam_max."""
+    return [len(brute_shell(dim, degree, mu)) for mu in range(lam_max + 1)]
 
 
 def brute_shell(dim: int, degree: int, lam: int) -> list[tuple[int, ...]]:
     """All u in Z^dim with sum |u_i|^k = lam, lexicographic, by recursive descent."""
-    pts: list[tuple[int, ...]] = []
-    buf = [0] * dim
-
-    def rec(axis: int, remaining: int) -> None:
-        if axis == dim:
-            if remaining == 0:
-                pts.append(tuple(buf))
-            return
+    @functools.cache
+    def rec(n: int, remaining: int) -> list[tuple[int, ...]]:
+        """The points of Z^n at level remaining, lexicographic."""
+        if n == 0:
+            return [()] if remaining == 0 else []
         root = 0
         while (root + 1) ** degree <= remaining:
             root += 1
-        for y in range(-root, root + 1):
-            buf[axis] = y
-            rec(axis + 1, remaining - abs(y) ** degree)
+        if n == 1:      # the last coordinate is +-root or nothing: no scan over the axis
+            return [(y,) for y in sorted({-root, root}) if root ** degree == remaining]
+        return [(y, *rest) for y in range(-root, root + 1)
+                for rest in rec(n - 1, remaining - abs(y) ** degree)]
 
-    rec(0, lam)
+    pts = rec(dim, lam)
+    rec.cache_clear()       # rec and its cache refer to each other: free the lists now, not at GC
     return pts
 
 

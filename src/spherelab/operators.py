@@ -282,17 +282,21 @@ def _level_profile(points: np.ndarray, sup_pts: np.ndarray, sup_vals: np.ndarray
 def _level_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated convolution of two (levels, rows) profiles along the level axis, row by row.
 
-    A level of a that is nonzero in fewer than a quarter of the rows updates
-    only those rows.  The terms skipped are exact zeros added to sums that
-    are never -0.0, so every value is the same as in the dense update.
+    A zero of a adds no term.  A level of a that is nonzero in fewer than a
+    quarter of the rows updates only those rows, and so does every level when
+    b holds a non-finite value: there the dense update would add 0 * inf =
+    nan, and whether a level ran dense would depend on which rows share its
+    chunk.  With b finite the terms skipped are exact zeros added to sums
+    that are never -0.0, so every value is the same as in the dense update.
     """
     width, n = a.shape
     out = np.zeros_like(a)
     nz = a != 0
+    sparse_only = not np.isfinite(b).all()
     for mu, count in enumerate(np.count_nonzero(nz, axis=1).tolist()):
         if count == 0:
             continue
-        if 4 * count < n:
+        if 4 * count < n or sparse_only:
             rows = np.flatnonzero(nz[mu])
             out[mu:, rows] += a[mu, rows] * b[: width - mu].take(rows, axis=1)
         else:

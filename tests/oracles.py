@@ -2,9 +2,11 @@
 independent of the library code it checks.
 
 brute_rep_count_table, brute_shell and brute_multilinear are defined once, in
-spherelab.acceptance, and re-exported here; brute_convolve multiplies two count series term by
-term, and brute_witness enumerates the witness box.  Slice levels have no oracle of their own:
-the tests compare the engine's level profiles with shell sums over brute_shell.
+spherelab.acceptance, and re-exported here.  A count table is brute_shell's number of points per
+level; test_inputs checks that none of the three reads a name acceptance.py imports from the
+package.  brute_convolve multiplies two count series term by term, and brute_witness enumerates
+the witness box.  Slice levels have no oracle of their own: the tests compare the engine's level
+profiles with shell sums over brute_shell.
 """
 
 from __future__ import annotations

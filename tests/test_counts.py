@@ -1,3 +1,4 @@
+import gc
 import io
 import math
 import random
@@ -277,6 +278,20 @@ def test_shell_is_sorted_and_matches_brute():
         assert list(shell.points) == sorted(shell.points)
     assert enumerate_shell(SphereSpec(1, 2), 10**30).points == ((-(10**15),), (10**15,))
     assert enumerate_shell(SphereSpec(1, 3), 10**30 + 1).points == ()
+
+
+def test_shell_oracle_frees_its_lists():
+    # with the collector off, lists that sit in a reference cycle stay allocated
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            brute_shell(5, 2, 40)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert kept < 1 << 20
 
 
 def test_shell_sparse_at_large_level():

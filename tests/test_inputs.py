@@ -165,6 +165,21 @@ def test_no_budget_error_outside_the_budget_rule():
         getattr(call.func, "id", getattr(call.func, "attr", None)) == "BudgetError")) == []
 
 
+def test_oracles_read_nothing_the_acceptance_module_imports_from_the_package():
+    # the brute-force oracles are the reference for the library's counts, shells and averages:
+    # one that read a count table, shell or operator of the package would check it against itself
+    path = pathlib.Path(spherelab.__file__).parent / "acceptance.py"
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names}
+    read = {fn.name: {node.id for stmt in fn.body for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            and fn.name in ("brute_rep_count_table", "brute_shell", "brute_multilinear")}
+    assert {"rep_counts", "multilinear_average", "_counts"} <= imported and len(read) == 3
+    assert {name: names & imported for name, names in read.items()} == dict.fromkeys(read, set())
+
+
 def test_one_support_budget_for_every_module(monkeypatch):
     # every module reads grids.DEFAULT_SUPPORT_BUDGET at the call, so lowering it alone moves a
     # site in each: a shell of 104 points (half-balls of 29), an output of 61 points, 61 decay

@@ -778,6 +778,14 @@ def test_level_convolve_sparse_rows_match_dense_update():
     assert (4 * counts < n).any() and (4 * counts >= n).any() and (counts == 0).any()
     assert operators._level_convolve(a, b).tobytes() == dense(a, b).tobytes()
     assert operators._level_convolve(b, a).tobytes() == dense(b, a).tobytes()
+    # with b holding inf a zero of a adds no term: the dense level a[3] is 0 on row 7, where
+    # 0 * inf would be nan
+    b[2, 7] = b[4, 12] = np.inf
+    termwise = np.zeros_like(a)
+    for mu, r in zip(*np.nonzero(a)):
+        termwise[mu:, r] += a[mu, r] * b[: width - mu, r]
+    assert np.isinf(termwise).any() and not np.isnan(termwise).any()
+    assert operators._level_convolve(a, b).tobytes() == termwise.tobytes()
 
 
 def test_domination_working_memory_is_bounded():
@@ -852,6 +860,28 @@ def test_domination_refuses_sides_past_the_float_range():
             domination_check(f, f, SphereSpec(5, 2), 4)
     assert str(err.value) == ("the domination sides at (-2, 0, 0, 0, 0) must be finite, "
                               "got LHS 0.0 and majorant inf")
+
+
+def test_overflow_outcomes_do_not_depend_on_the_chunking(monkeypatch):
+    # g's level-1 sum at x = 0 is inf, where f's profile is 0: that zero adds no term, so the
+    # outcome does not depend on which rows share a chunk with x = 0
+    f, g = make_delta(1), GridFunction(1, {(-1,): 1e308, (1,): 1e308})
+    cfg = OperatorConfig(SphereSpec(1, 2), 2, 2, Normalization.EXACT)
+    three = [GridFunction(2, {(-1, -1): 1.0, (1, -2): 0.5, (1, 2): 0.5}),
+             GridFunction(2, {(1, 2): 1e308, (2, 0): 1.0}),
+             GridFunction(2, {(-1, -2): 1e308, (2, 0): 1e308})]
+    for chunk_rows in (1, 2, 8192):
+        monkeypatch.setattr(operators, "_CHUNK_ROWS", chunk_rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert multilinear_average([f, g], 2, cfg).values == {}, chunk_rows
+            with pytest.raises(ParameterError) as err:
+                multilinear_maximal([f, g], cfg)
+            assert str(err.value) == "the value at (0,) must be a finite real number, got inf"
+            with pytest.raises(ParameterError) as err:
+                domination_check_multilinear(three, SphereSpec(2, 2), 6)
+            assert str(err.value) == ("the domination sides at (1, 0) must be finite, "
+                                      "got LHS 2.7777777777777777e+306 and majorant inf")
 
 
 def _grid_outputs(f, g, spec, lam_max):
