@@ -18,16 +18,16 @@ f_j(x - u),  nu = 0..Lam.  The left fold of pairwise level convolutions
 
 gives T_lam(x) = P(x, lam) / norm(lam).  One engine, _engine, builds the
 profiles for every operator, and each operator is a reduction of them.
-Its rows lie in the common box (the dilations by floor(Lam^(1/k)) of the
-supports' bounding boxes, intersected), walked in lexicographic order at
-most a chunk at a time: by _Stencil.walk, only the segments (rows sharing a
-coordinate prefix) that a k-ball around a point of the smallest support
-reaches, or by _engine, the whole box a segment or a chunk a step.
-Each profile, smallest support first, is pushed through the k-ball or
-pulled onto the rows still live, and rows where one is zero are dropped.
-Each profile cell is the sum of its pairs in support order from +0.0,
-however it is built, and later steps work row by row, so outputs are
-byte-identical for any chunking.
+Its rows lie in the common box (the supports' bounding boxes dilated by
+floor(Lam^(1/k)), intersected), walked in lexicographic order at most a
+chunk at a time, over the segments (rows sharing a coordinate prefix) the
+smallest support reaches (_Stencil.walk) or the whole box (_engine).  Each
+profile, smallest support first, is pushed through the k-ball or pulled onto
+the rows still live, and rows where one is zero are dropped.  Each profile
+cell is the sum of its pairs in support order from +0.0, however it is
+built, and later steps work row by row, so outputs are byte-identical for
+any chunking.  M and S read only the levels where some row of the chunk has
+mass: another weighs +0.0 in S and cannot raise M (see _hl_reduction).
 
 Pointwise domination: for nonnegative inputs and asymptotic normalization,
 
@@ -304,20 +304,18 @@ def _level_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cumulate(a: np.ndarray) -> np.ndarray:
-    """Cumulative sums over the levels of a (levels, rows) profile, a level row at a time
-    (np.cumsum along the level axis runs as slowly as along short rows)."""
-    out = a.copy()
-    for mu in range(1, len(out)):
-        out[mu] += out[mu - 1]
-    return out
-
-
 def _hl_reduction(spec: SphereSpec, lambda_max: int):
-    """M's reduction of a unit's profiles: max over 1 <= lam <= lambda_max of lam^(-d/k) times the
-    ball sum, levels 0..lam, of the first profile (nonnegative, (lambda_max + 1, rows))."""
+    """M's reduction: max over 1 <= lam <= lambda_max of lam^(-d/k) times the first profile's ball
+    sum (>= 0), levels 0..lam.  A level >= 2 without mass keeps the sum at a weight that never
+    rises, so it cannot raise the max and is not read: one pass over level 1 and those with mass."""
     weights = np.arange(1, lambda_max + 1, dtype=np.float64) ** (-spec.dim / spec.degree)
-    return lambda profs: (_cumulate(profs[0])[1:] * weights[:, None]).max(axis=0)
+    def reduce(profs):
+        best = (ball := profs[0][0] + profs[0][1]) * weights[0]
+        for lam in np.flatnonzero(profs[0][2:].any(axis=1)).tolist():
+            ball += profs[0][lam + 2]
+            np.maximum(best, ball * weights[lam + 1], out=best)
+        return best
+    return reduce
 
 
 def _fold(profiles: list[np.ndarray]) -> np.ndarray:
@@ -483,10 +481,12 @@ def linear_spherical_maximal(g: GridFunction, spec: SphereSpec, lambda_max: int)
     """
     lambda_max = _validate([g], spec, lambda_max)
     weights = np.arange(1, lambda_max + 1, dtype=np.float64) ** (-(spec.dim / spec.degree - 1.0))
-    return _evaluate(
-        [g], spec.degree, lambda_max,
-        lambda profs: (np.abs(profs[0][1:]) * weights[:, None]).max(axis=0),
-    )
+    def reduce(profs):      # the levels without mass weigh +0.0 and are not read
+        best = np.zeros(profs[0].shape[1])
+        for mu in np.flatnonzero(profs[0][1:].any(axis=1)).tolist():
+            np.maximum(best, np.abs(profs[0][mu + 1]) * weights[mu], out=best)
+        return best
+    return _evaluate([g], spec.degree, lambda_max, reduce)
 
 
 def domination_check_multilinear(
@@ -539,9 +539,10 @@ def domination_check_multilinear(
             bad = ~np.isfinite(viol)        # both sides are >= 0: only a non-finite side
             if bad.any():
                 i = int(np.argmax(bad))
-                raise ParameterError(
-                    f"the domination sides at {tuple(pts[i].tolist())!r} must be finite, got LHS "
-                    f"{float(lhs[i])!r} and majorant {float(m_side[i] * s_side[i])!r}")
+                m, s = float(m_side[i]), float(s_side[i])
+                majorant = f"{m!r} * {s!r}" if math.isnan(m * s) else repr(m * s)  # inf * 0.0
+                raise ParameterError(f"the domination sides at {tuple(pts[i].tolist())!r} must be "
+                                     f"finite, got LHS {float(lhs[i])!r} and majorant {majorant}")
             i = int(np.argmax(viol))
             if viol[i] > worst:
                 worst = float(viol[i])

@@ -261,6 +261,58 @@ def test_hl_maximal_monotone_in_lambda_max():
         assert m2.value(p) >= v - 1e-15
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_ball_weights_never_rise(degree):
+    # M reads no level without mass because such a level cannot raise its maximum: the ball sum
+    # stays and lam^(-d/k) does not rise.  That is a property of the float power, checked here
+    # up to the 2^18 levels the chunk rule admits rather than assumed
+    lam = np.arange(1, 2**18, dtype=np.float64)
+    for dim in range(1, 13):
+        assert (np.diff(lam ** (-dim / degree)) <= 0.0).all(), dim
+
+
+def _every_level_hl_reduction(spec, lambda_max):
+    """M's reduction read over every level: the ball sums of levels 0..lam, added a level at a
+    time (np.cumsum along the levels), each weighed by lam^(-d/k), then the max over lam."""
+    weights = np.arange(1, lambda_max + 1, dtype=np.float64) ** (-spec.dim / spec.degree)
+    return lambda profs: (np.cumsum(profs[0], axis=0)[1:] * weights[:, None]).max(axis=0)
+
+
+@pytest.mark.parametrize("chunk_rows", [1 << 13, 2])
+@pytest.mark.parametrize("degree", [2, 3])
+def test_m_and_s_equal_their_every_level_forms(monkeypatch, chunk_rows, degree):
+    # M and S weigh only the levels where some row of the chunk has mass, and must equal the
+    # forms that weigh every level bit for bit.  At lam_max = 600 a chunk holds at most
+    # 2^18 // 601 = 436 rows, fewer than its levels.  In Z^2 most levels hold no mass in any
+    # row (3, 6, 7, ... are no sums of two squares), and every support point is a row with mass
+    # at level 0.  Degree 3 gives S weights that are not all 1
+    rng = random.Random(27)
+    spec, lam_max = SphereSpec(2, degree), 600
+    inputs = [random_function(rng, 2, size=12, span=4, nonnegative=nonneg) for nonneg in (0, 1)]
+    inputs.append(make_delta(2))    # one level of mass per row, and at x = 0 only level 0
+    # in Z^1, with f_2 and f_3 dense around f_1, every row of the box is live with S~ > 0, so
+    # the report's violation is one where M enters (in Z^2 the box corners are pruned, and a
+    # row where S~ is 0 reads 0.0: either would be reported whatever M is)
+    three = [random_function(rng, 1, size=3, span=2, nonnegative=True),
+             *(random_function(rng, 1, size=40, span=30, nonnegative=True) for _ in range(2))]
+    monkeypatch.setattr(operators, "_CHUNK_ROWS", chunk_rows)
+
+    def outputs(operator):
+        return [b"".join(a.tobytes() for a in operator(f, spec, lam_max).arrays()) for f in inputs]
+
+    hl, sph = outputs(hl_maximal), outputs(linear_spherical_maximal)
+    report = domination_check_multilinear(three, SphereSpec(1, 2), lam_max)
+    assert report.max_violation < 0.0
+    monkeypatch.setattr(operators, "_hl_reduction", _every_level_hl_reduction)
+    assert outputs(hl_maximal) == hl
+    assert repr(domination_check_multilinear(three, SphereSpec(1, 2), lam_max)) == repr(report)
+    weights = np.arange(1, lam_max + 1, dtype=np.float64) ** (-(spec.dim / spec.degree - 1.0))
+    evaluate = operators._evaluate
+    monkeypatch.setattr(operators, "_evaluate", lambda fs, degree, lam, _: evaluate(
+        fs, degree, lam, lambda profs: (np.abs(profs[0][1:]) * weights[:, None]).max(axis=0)))
+    assert outputs(linear_spherical_maximal) == sph
+
+
 def test_domination_box_delta_dim3():
     spec = SphereSpec(3, 2)
     rep = domination_check(make_box_indicator(3, 1), make_delta(3), spec, 50)
@@ -801,6 +853,26 @@ def test_domination_working_memory_is_bounded():
     assert peak < 64 * 2**20, peak
 
 
+def test_m_and_s_copy_no_profile(monkeypatch):
+    # a chunk at lam_max = 2000 holds 2001 levels x 131 rows, here with one level of mass per
+    # row: M and S read those levels in place, with no copy of the 2 MiB profile
+    reductions = []
+    monkeypatch.setattr(operators, "_evaluate", lambda fs, degree, lam, reduce: reductions.append(reduce))
+    hl_maximal(make_delta(2), SphereSpec(2, 2), 2000)
+    linear_spherical_maximal(make_delta(2), SphereSpec(2, 2), 2000)
+    rng = np.random.default_rng(2001)
+    prof = np.zeros((2001, 131))
+    prof[rng.integers(0, 2001, 131), np.arange(131)] = rng.uniform(0.1, 1.0, 131)
+    for reduce in reductions:
+        tracemalloc.start()
+        try:
+            reduce([prof])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < prof.nbytes // 8, peak
+
+
 def test_domination_rejects_negative_input():
     spec = SphereSpec(2, 2)
     bad = GridFunction(2, {(0, 0): -1.0})
@@ -882,6 +954,22 @@ def test_overflow_outcomes_do_not_depend_on_the_chunking(monkeypatch):
                 domination_check_multilinear(three, SphereSpec(2, 2), 6)
             assert str(err.value) == ("the domination sides at (1, 0) must be finite, "
                                       "got LHS 2.7777777777777777e+306 and majorant inf")
+
+
+def test_domination_refusal_names_both_factors_of_a_nan_majorant(monkeypatch):
+    # M(f_1) is inf at (-2, 1), where the spherical factor is 0.0: their product is nan, so the
+    # message names both factors, at every chunking
+    three = [GridFunction(2, {(-2, 2): 1e308, (0, 2): 1e308}),
+             GridFunction(2, {(0, -2): 1.0, (0, 2): 0.5}),
+             GridFunction(2, {(0, 2): 1.0, (1, 0): 1.0})]
+    for chunk_rows in (1, 2, 8192):
+        monkeypatch.setattr(operators, "_CHUNK_ROWS", chunk_rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterError) as err:
+                domination_check_multilinear(three, SphereSpec(2, 2), 6)
+        assert str(err.value) == ("the domination sides at (-2, 1) must be finite, "
+                                  "got LHS 0.0 and majorant inf * 0.0"), chunk_rows
 
 
 def _grid_outputs(f, g, spec, lam_max):
