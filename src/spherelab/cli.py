@@ -8,7 +8,8 @@ Conventions shared by all subcommands:
   * files are written atomically (temp file in the target directory, then
     rename);
   * exit codes: 0 success, 1 failed acceptance gate, 2 argument errors,
-    3 budget/resource errors, 4 analysis errors (degenerate fits);
+    3 budget/resource errors (a budget refusal, or running out of memory),
+    4 analysis errors (degenerate fits), each with one "error (kind): ..." line;
   * --threads (fallback: the SPHERELAB_THREADS environment variable) is
     resolved and echoed but changes nothing yet: every computation runs
     sequentially.  Each has a fixed reduction order, so outputs will stay
@@ -18,56 +19,45 @@ Input functions for the operator subcommands are written as
   delta | box:L | file:PATH
 where PATH uses the grid-function text format (first line d, then
 "x1 ... xd value" rows, one per point).
+
+Each subcommand is one `_SUBCOMMANDS` entry; `run` writes the text its body
+returns.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import json
 import os
+import stat
 import sys
 import tempfile
 import time
 import warnings
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import acceptance as _accept
-from .counts import (
-    SphereSpec,
-    asymptotic_validity_note,
-    enumerate_shell,
-    growth_exponent_fit,
-    joint_count,
-    rep_counts,
-    write_counts_csv,
-    write_shell_csv,
-)
+from .counts import (SphereSpec, asymptotic_validity_note, enumerate_shell, growth_exponent_fit,
+                     joint_count, rep_counts, write_counts_csv, write_shell_csv)
 from .errors import AnalysisError, BudgetError, ParameterError
 from .grids import GridFunction, make_box_indicator, make_delta, read_grid_text, write_grid_text
-from .operators import (
-    Normalization,
-    OperatorConfig,
-    domination_check,
-    hl_maximal,
-    linear_spherical_maximal,
-    multilinear_average,
-    multilinear_maximal,
-)
-from .sharpness import (
-    _DEFAULT_SAMPLES,
-    _DEFAULT_SEED,
-    _EXACT_REGION_BUDGET,
-    WitnessSpec,
-    critical_r,
-    decay_fit,
-    p0_bound,
-    partial_norm_scan,
-    r0_bound,
-    region_classify,
-    witness_value,
-)
+from .operators import (Normalization, OperatorConfig, domination_check, hl_maximal,
+                        linear_spherical_maximal, multilinear_average, multilinear_maximal)
+from .sharpness import (_DEFAULT_SAMPLES, _DEFAULT_SEED, _EXACT_REGION_BUDGET, WitnessSpec,
+                        critical_r, decay_fit, p0_bound, partial_norm_scan, r0_bound,
+                        region_classify, witness_value)
+
+
+def _file_mode(path: str) -> int:
+    """The mode open(path, "w") leaves: an existing file's own, else 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -76,6 +66,7 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, _file_mode(path))     # mkstemp creates the file 0o600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -144,8 +135,7 @@ def _resolve_threads(value: int | None) -> int:
 
 
 def _echo_config(args: argparse.Namespace, threads: int) -> None:
-    cfg = {key: value for key, value in vars(args).items() if key != "func"}
-    cfg["threads"] = threads
+    cfg = dict(vars(args), threads=threads)
     sys.stderr.write(json.dumps(cfg, sort_keys=True, default=str) + "\n")
 
 
@@ -155,153 +145,207 @@ def _text(write, obj) -> str:
     return buf.getvalue()
 
 
-# ---------------------------------------------------------------------------
-# subcommand bodies
-# ---------------------------------------------------------------------------
+# subcommand bodies: each returns its output text
 
-def _cmd_count(args) -> int:
-    table = rep_counts(SphereSpec(args.dim, args.degree), args.lambda_max)
-    _emit(_text(write_counts_csv, table), args.out)
-    return 0
+def _spec(args) -> SphereSpec:
+    return SphereSpec(args.dim, args.degree)
 
 
-def _cmd_shell(args) -> int:
-    shell = enumerate_shell(SphereSpec(args.dim, args.degree), getattr(args, "lambda"))
-    _emit(_text(write_shell_csv, shell), args.out)
-    return 0
+def _witness_spec(args) -> WitnessSpec:
+    return WitnessSpec(args.dim, args.degree, args.linearity, args.box)
 
 
-def _cmd_avg(args) -> int:
-    spec = SphereSpec(args.dim, args.degree)
-    cfg = OperatorConfig(spec, args.linearity, getattr(args, "lambda"),
+def _cmd_count(args) -> str:
+    return _text(write_counts_csv, rep_counts(_spec(args), args.lambda_max))
+
+
+def _cmd_shell(args) -> str:
+    return _text(write_shell_csv, enumerate_shell(_spec(args), getattr(args, "lambda")))
+
+
+def _cmd_joint(args) -> str:
+    return f"{joint_count(_spec(args), args.linearity, getattr(args, 'lambda'))}\n"
+
+
+def _cmd_avg(args) -> str:
+    cfg = OperatorConfig(_spec(args), args.linearity, getattr(args, "lambda"),
                          Normalization(args.normalization))
     fns = [_load_function(s, args.dim) for s in args.fn]
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         result = multilinear_average(fns, getattr(args, "lambda"), cfg)
-    _emit(_text(write_grid_text, result), args.out)
-    return 0
+    return _text(write_grid_text, result)
 
 
-def _cmd_maxop(args) -> int:
-    spec = SphereSpec(args.dim, args.degree)
-    cfg = OperatorConfig(spec, args.linearity, args.lambda_max,
+def _cmd_maxop(args) -> str:
+    cfg = OperatorConfig(_spec(args), args.linearity, args.lambda_max,
                          Normalization(args.normalization), args.lambda_min)
     result = multilinear_maximal([_load_function(s, args.dim) for s in args.fn], cfg)
-    _emit(_text(write_grid_text, result), args.out)
-    return 0
+    return _text(write_grid_text, result)
 
 
-def _cmd_linear_max(operator, args) -> int:
-    spec = SphereSpec(args.dim, args.degree)
-    result = operator(_load_function(args.fn, args.dim), spec, args.lambda_max)
-    _emit(_text(write_grid_text, result), args.out)
-    return 0
+def _cmd_hlmax(args) -> str:
+    spec = _spec(args)
+    result = hl_maximal(_load_function(args.fn, args.dim), spec, args.lambda_max)
+    return _text(write_grid_text, result)
 
 
-def _cmd_dominate(args) -> int:
-    spec = SphereSpec(args.dim, args.degree)
+def _cmd_sphmax(args) -> str:
+    spec = _spec(args)
+    result = linear_spherical_maximal(_load_function(args.fn, args.dim), spec, args.lambda_max)
+    return _text(write_grid_text, result)
+
+
+def _cmd_dominate(args) -> str:
+    spec = _spec(args)
     f = _load_function(args.f, args.dim)
     g = _load_function(args.g, args.dim)
-    report = domination_check(f, g, spec, args.lambda_max)
-    _emit(_json_text(report.as_dict()), args.out)
-    return 0
+    return _json_text(domination_check(f, g, spec, args.lambda_max).as_dict())
 
 
-def _cmd_witness(args) -> int:
-    spec = WitnessSpec(args.dim, args.degree, args.linearity, args.box)
+def _cmd_witness(args) -> str:
+    spec = _witness_spec(args)
     point = tuple(_parse_ints(args.point))
-    value = witness_value(point, spec, exact=(args.normalization == "exact"))
-    _emit(f"{value!r}\n", args.out)
-    return 0
+    return f"{witness_value(point, spec, exact=(args.normalization == 'exact'))!r}\n"
 
 
-def _cmd_decay(args) -> int:
-    spec = WitnessSpec(args.dim, args.degree, args.linearity, args.box)
-    report = decay_fit(spec, _parse_ints(args.direction), (args.t_min, args.t_max),
+def _cmd_decay(args) -> str:
+    report = decay_fit(_witness_spec(args), _parse_ints(args.direction), (args.t_min, args.t_max),
                        num_samples=args.samples)
-    _emit(_json_text(report.as_dict()), args.out)
-    return 0
+    return _json_text(report.as_dict())
 
 
-def _cmd_normscan(args) -> int:
-    spec = WitnessSpec(args.dim, args.degree, args.linearity, args.box)
-    scan = partial_norm_scan(spec, _parse_exponent(args.r), _parse_ints(args.radii),
+def _cmd_normscan(args) -> str:
+    scan = partial_norm_scan(_witness_spec(args), _parse_exponent(args.r), _parse_ints(args.radii),
                              seed=args.seed, exact_budget=args.exact_budget,
                              samples_per_region=args.samples)
     if args.csv:
-        lines = ["radius,partial_norm"]
-        for radius, norm in zip(scan.radii, scan.partial_norms):
-            lines.append(f"{radius},{norm!r}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text(scan.as_dict()), args.out)
-    return 0
+        return "radius,partial_norm\n" + "".join(
+            f"{radius},{norm!r}\n" for radius, norm in zip(scan.radii, scan.partial_norms))
+    return _json_text(scan.as_dict())
 
 
-def _cmd_region(args) -> int:
+def _cmd_region(args) -> str:
     verdict = region_classify(_parse_exponent(args.p), _parse_exponent(args.q),
                               _parse_exponent(args.r), args.dim)
-    _emit(f"{verdict.verdict}\n{verdict.reason}\n", args.out)
-    return 0
+    return f"{verdict.verdict}\n{verdict.reason}\n"
 
 
-def _cmd_exponents(args) -> int:
-    payload: dict = {
-        "critical_r": str(critical_r(args.dim, args.degree, args.linearity)),
-    }
+def _cmd_exponents(args) -> str:
+    payload = {"critical_r": str(critical_r(args.dim, args.degree, args.linearity))}
     if args.delta0 is not None:
         delta0 = _parse_exponent(args.delta0)
         payload["r0"] = str(r0_bound(delta0, args.linearity))
         if args.dim > args.degree:
             payload["p0"] = str(p0_bound(delta0, args.dim, args.degree))
-    _emit(_json_text(payload), args.out)
-    return 0
+    return _json_text(payload)
 
 
-def _cmd_asymfit(args) -> int:
-    spec = SphereSpec(args.dim, args.degree)
+def _cmd_asymfit(args) -> str:
+    spec = _spec(args)
     table = rep_counts(spec, args.lambda_max)
-    report = growth_exponent_fit(table, (args.window_lo, args.window_hi))
-    payload = report.as_dict()
+    payload = growth_exponent_fit(table, (args.window_lo, args.window_hi)).as_dict()
     note = asymptotic_validity_note(spec)
     if note:
         payload["note"] = note
-    _emit(_json_text(payload), args.out)
-    return 0
+    return _json_text(payload)
 
 
-def _cmd_joint(args) -> int:
-    spec = SphereSpec(args.dim, args.degree)
-    value = joint_count(spec, args.linearity, getattr(args, "lambda"))
-    _emit(f"{value}\n", args.out)
-    return 0
-
-
-def _cmd_accept(args) -> int:
+def _cmd_accept(args) -> tuple[str, str, int]:
     t0 = time.perf_counter()
     name, passed, details = _accept.EXPERIMENTS[args.experiment]()
     elapsed = time.perf_counter() - t0
     payload = {"criterion": args.experiment, "name": name, "passed": passed, "details": details}
-    _emit(_json_text(payload), args.out)
     status = "PASS" if passed else "FAIL"
-    sys.stderr.write(f"{status}  criterion {args.experiment}: {name} ({elapsed:.1f}s)\n")
-    return 0 if passed else 1
+    headline = f"{status}  criterion {args.experiment}: {name} ({elapsed:.1f}s)\n"
+    return _json_text(payload), headline, 0 if passed else 1
 
 
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
+# the subcommand table, from which build_parser makes every parser
 
-def _add_common(sub, *, dim=True, degree=True):
-    if dim:
-        sub.add_argument("--dim", type=int, required=True, help="ambient dimension d")
-    if degree:
-        sub.add_argument("--degree", type=int, default=2, help="sphere degree k (default 2)")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="thread count, echoed but not yet used (default: "
-                          "SPHERELAB_THREADS or CPU count); outputs never depend on it")
-    sub.add_argument("--out", default=None, help="output file (atomic write); stdout if omitted")
+def _option(flag: str, **kwargs) -> tuple[str, dict]:
+    return flag, kwargs
+
+
+_DIM = _option("--dim", type=int, required=True, help="ambient dimension d")
+_DEGREE = _option("--degree", type=int, default=2, help="sphere degree k (default 2)")
+_THREADS_AND_OUT = (
+    _option("--threads", type=int, default=None,
+            help="thread count, echoed but not yet used (default: "
+                 "SPHERELAB_THREADS or CPU count); outputs never depend on it"),
+    _option("--out", default=None, help="output file (atomic write); stdout if omitted"),
+)
+_LINEARITY = _option("--linearity", type=int, default=2)
+_LAMBDA = _option("--lambda", type=int, required=True)
+_LAMBDA_MAX = _option("--lambda-max", type=int, required=True)
+_NORMALIZATION = _option("--normalization", default="exact", choices=("exact", "asymptotic"))
+_BOX = _option("--box", type=int, default=1)
+_FN_HELP = "input function (delta | box:L | file:PATH)"
+# --function-file PATH is sugar for --fn file:PATH
+_FUNCTION_FILE = dict(dest="fn", type=lambda p: f"file:{p}", metavar="PATH",
+                      help="input function from a grid-function text file")
+
+
+class _Subcommand(NamedTuple):
+    """Its parser takes `sphere` (--dim, --degree), --threads, --out, `options` and, if `inputs`
+    is "one" or "many", the --fn/--function-file pair. `body` returns the output text; a gate's
+    body returns (text, stderr headline, exit code)."""
+    help: str
+    body: Callable
+    options: tuple = ()
+    inputs: str = ""
+    sphere: tuple = (_DIM, _DEGREE)
+
+
+_SUBCOMMANDS = {
+    "count": _Subcommand("exact representation-count table as CSV", _cmd_count, (_LAMBDA_MAX,)),
+    "shell": _Subcommand("enumerate one sphere shell as CSV", _cmd_shell, (_LAMBDA,)),
+    "joint": _Subcommand("joint count N(lambda) in dimension linearity*dim", _cmd_joint,
+                         (_LINEARITY, _LAMBDA)),
+    "avg": _Subcommand("signed multilinear spherical average at one level", _cmd_avg,
+                       (_LINEARITY, _LAMBDA, _NORMALIZATION), inputs="many"),
+    "maxop": _Subcommand("multilinear spherical maximal function", _cmd_maxop, (
+        _LINEARITY, _LAMBDA_MAX, _option("--lambda-min", type=int, default=1), _NORMALIZATION),
+        inputs="many"),
+    "hlmax": _Subcommand("Hardy-Littlewood maximal function over k-balls", _cmd_hlmax,
+                         (_LAMBDA_MAX,), inputs="one"),
+    "sphmax": _Subcommand("linear spherical maximal function", _cmd_sphmax, (_LAMBDA_MAX,),
+                          inputs="one"),
+    "dominate": _Subcommand("pointwise domination check T* <= M(f) * S~(g)", _cmd_dominate, (
+        _LAMBDA_MAX,
+        _option("--f", required=True, help="first input (delta | box:L | file:PATH)"),
+        _option("--g", required=True, help="second input (delta | box:L | file:PATH)"))),
+    "witness": _Subcommand("exact witness-family maximal value at a point", _cmd_witness, (
+        _LINEARITY, _option("--box", type=int, default=1, help="box radius L"),
+        _option("--point", required=True, help="comma-separated integer point"),
+        _option("--normalization", default="asymptotic", choices=("exact", "asymptotic"),
+                help="exact divides by true joint counts (moderate |x| only)"))),
+    "decay": _Subcommand("witness decay-exponent fit along a ray", _cmd_decay, (
+        _LINEARITY, _BOX,
+        _option("--direction", required=True, help="comma-separated integer direction"),
+        _option("--t-min", type=int, default=10), _option("--t-max", type=int, default=2000),
+        _option("--samples", type=int, default=64))),
+    "normscan": _Subcommand("partial l^r norms and dyadic shell ratios", _cmd_normscan, (
+        _LINEARITY, _BOX,
+        _option("--r", required=True, help="exponent r (decimal or fraction like 5/8)"),
+        _option("--radii", required=True, help="comma-separated increasing radii"),
+        _option("--seed", type=int, default=_DEFAULT_SEED),
+        _option("--samples", type=int, default=_DEFAULT_SAMPLES, help="samples per sampled region"),
+        _option("--exact-budget", type=int, default=_EXACT_REGION_BUDGET,
+                help="regions up to this lattice-count estimate are enumerated exactly"),
+        _option("--csv", action="store_true", help="emit radius,partial_norm CSV instead of JSON"))),
+    "region": _Subcommand("boundedness verdict for (p, q, r, d)", _cmd_region, (
+        _option("--p", required=True), _option("--q", required=True), _option("--r", required=True)),
+        sphere=(_DIM,)),
+    "exponents": _Subcommand("critical_r and the r0/p0 threshold formulas", _cmd_exponents, (
+        _LINEARITY, _option("--delta0", default=None,
+                            help="external linear-theory parameter (decimal or fraction)"))),
+    "asymfit": _Subcommand("dyadic-block growth-exponent fit of a count table", _cmd_asymfit, (
+        _LAMBDA_MAX, _option("--window-lo", type=int, required=True),
+        _option("--window-hi", type=int, required=True))),
+    "accept": _Subcommand("run one numbered acceptance experiment (1..7)", _cmd_accept, (
+        _option("--experiment", type=int, required=True, choices=_accept.EXPERIMENTS),), sphere=()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,132 +354,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Discrete multilinear spherical averages: counts, operators, sharpness.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("count", help="exact representation-count table as CSV")
-    _add_common(s)
-    s.add_argument("--lambda-max", type=int, required=True)
-    s.set_defaults(func=_cmd_count)
-
-    s = subs.add_parser("shell", help="enumerate one sphere shell as CSV")
-    _add_common(s)
-    s.add_argument("--lambda", type=int, required=True)
-    s.set_defaults(func=_cmd_shell)
-
-    s = subs.add_parser("joint", help="joint count N(lambda) in dimension linearity*dim")
-    _add_common(s)
-    s.add_argument("--linearity", type=int, default=2)
-    s.add_argument("--lambda", type=int, required=True)
-    s.set_defaults(func=_cmd_joint)
-
-    def add_fn_inputs(sub, multiple: bool):
-        # --function-file PATH is sugar for --fn file:PATH; with append
-        # actions sharing one dest, argparse preserves command-line order
-        if multiple:
-            sub.add_argument("--fn", action="append", dest="fn", default=[],
-                             help="input function (delta | box:L | file:PATH); repeat per argument")
-            sub.add_argument("--function-file", action="append", dest="fn",
-                             type=lambda p: f"file:{p}", metavar="PATH",
-                             help="input function from a grid-function text file")
-        else:
-            group = sub.add_mutually_exclusive_group(required=True)
-            group.add_argument("--fn", dest="fn",
-                               help="input function (delta | box:L | file:PATH)")
-            group.add_argument("--function-file", dest="fn",
-                               type=lambda p: f"file:{p}", metavar="PATH",
-                               help="input function from a grid-function text file")
-
-    s = subs.add_parser("avg", help="signed multilinear spherical average at one level")
-    _add_common(s)
-    s.add_argument("--linearity", type=int, default=2)
-    s.add_argument("--lambda", type=int, required=True)
-    s.add_argument("--normalization", default="exact", choices=("exact", "asymptotic"))
-    add_fn_inputs(s, multiple=True)
-    s.set_defaults(func=_cmd_avg)
-
-    s = subs.add_parser("maxop", help="multilinear spherical maximal function")
-    _add_common(s)
-    s.add_argument("--linearity", type=int, default=2)
-    s.add_argument("--lambda-max", type=int, required=True)
-    s.add_argument("--lambda-min", type=int, default=1)
-    s.add_argument("--normalization", default="exact", choices=("exact", "asymptotic"))
-    add_fn_inputs(s, multiple=True)
-    s.set_defaults(func=_cmd_maxop)
-
-    for name, operator, help_text in (
-        ("hlmax", hl_maximal, "Hardy-Littlewood maximal function over k-balls"),
-        ("sphmax", linear_spherical_maximal, "linear spherical maximal function"),
-    ):
-        s = subs.add_parser(name, help=help_text)
-        _add_common(s)
-        s.add_argument("--lambda-max", type=int, required=True)
-        add_fn_inputs(s, multiple=False)
-        s.set_defaults(func=functools.partial(_cmd_linear_max, operator))
-
-    s = subs.add_parser("dominate", help="pointwise domination check T* <= M(f) * S~(g)")
-    _add_common(s)
-    s.add_argument("--lambda-max", type=int, required=True)
-    s.add_argument("--f", required=True, help="first input (delta | box:L | file:PATH)")
-    s.add_argument("--g", required=True, help="second input (delta | box:L | file:PATH)")
-    s.set_defaults(func=_cmd_dominate)
-
-    s = subs.add_parser("witness", help="exact witness-family maximal value at a point")
-    _add_common(s)
-    s.add_argument("--linearity", type=int, default=2)
-    s.add_argument("--box", type=int, default=1, help="box radius L")
-    s.add_argument("--point", required=True, help="comma-separated integer point")
-    s.add_argument("--normalization", default="asymptotic", choices=("exact", "asymptotic"),
-                   help="exact divides by true joint counts (moderate |x| only)")
-    s.set_defaults(func=_cmd_witness)
-
-    s = subs.add_parser("decay", help="witness decay-exponent fit along a ray")
-    _add_common(s)
-    s.add_argument("--linearity", type=int, default=2)
-    s.add_argument("--box", type=int, default=1)
-    s.add_argument("--direction", required=True, help="comma-separated integer direction")
-    s.add_argument("--t-min", type=int, default=10)
-    s.add_argument("--t-max", type=int, default=2000)
-    s.add_argument("--samples", type=int, default=64)
-    s.set_defaults(func=_cmd_decay)
-
-    s = subs.add_parser("normscan", help="partial l^r norms and dyadic shell ratios")
-    _add_common(s)
-    s.add_argument("--linearity", type=int, default=2)
-    s.add_argument("--box", type=int, default=1)
-    s.add_argument("--r", required=True, help="exponent r (decimal or fraction like 5/8)")
-    s.add_argument("--radii", required=True, help="comma-separated increasing radii")
-    s.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    s.add_argument("--samples", type=int, default=_DEFAULT_SAMPLES, help="samples per sampled region")
-    s.add_argument("--exact-budget", type=int, default=_EXACT_REGION_BUDGET,
-                   help="regions up to this lattice-count estimate are enumerated exactly")
-    s.add_argument("--csv", action="store_true", help="emit radius,partial_norm CSV instead of JSON")
-    s.set_defaults(func=_cmd_normscan)
-
-    s = subs.add_parser("region", help="boundedness verdict for (p, q, r, d)")
-    _add_common(s, degree=False)
-    s.add_argument("--p", required=True)
-    s.add_argument("--q", required=True)
-    s.add_argument("--r", required=True)
-    s.set_defaults(func=_cmd_region)
-
-    s = subs.add_parser("exponents", help="critical_r and the r0/p0 threshold formulas")
-    _add_common(s)
-    s.add_argument("--linearity", type=int, default=2)
-    s.add_argument("--delta0", default=None,
-                   help="external linear-theory parameter (decimal or fraction)")
-    s.set_defaults(func=_cmd_exponents)
-
-    s = subs.add_parser("asymfit", help="dyadic-block growth-exponent fit of a count table")
-    _add_common(s)
-    s.add_argument("--lambda-max", type=int, required=True)
-    s.add_argument("--window-lo", type=int, required=True)
-    s.add_argument("--window-hi", type=int, required=True)
-    s.set_defaults(func=_cmd_asymfit)
-
-    s = subs.add_parser("accept", help="run one numbered acceptance experiment (1..7)")
-    _add_common(s, dim=False, degree=False)
-    s.add_argument("--experiment", type=int, required=True, choices=_accept.EXPERIMENTS)
-    s.set_defaults(func=_cmd_accept)
-
+    for name, sub in _SUBCOMMANDS.items():
+        s = subs.add_parser(name, help=sub.help)
+        for flag, kwargs in sub.sphere + _THREADS_AND_OUT + sub.options:
+            s.add_argument(flag, **kwargs)
+        if sub.inputs == "many":
+            # with append actions sharing one dest, argparse keeps command-line order
+            s.add_argument("--fn", action="append", dest="fn", default=[],
+                           help=_FN_HELP + "; repeat per argument")
+            s.add_argument("--function-file", action="append", **_FUNCTION_FILE)
+        elif sub.inputs == "one":
+            group = s.add_mutually_exclusive_group(required=True)
+            group.add_argument("--fn", dest="fn", help=_FN_HELP)
+            group.add_argument("--function-file", **_FUNCTION_FILE)
     return parser
 
 
@@ -446,11 +377,17 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code) if exc.code else 0
     try:
-        threads = _resolve_threads(args.threads)
-        _echo_config(args, threads)
-        return args.func(args)
+        _echo_config(args, _resolve_threads(args.threads))
+        result = _SUBCOMMANDS[args.command].body(args)
+        text, headline, code = result if isinstance(result, tuple) else (result, "", 0)
+        _emit(text, args.out)
+        sys.stderr.write(headline)
+        return code
     except BudgetError as exc:
         sys.stderr.write(f"error (budget): {exc}\n")
+        return 3
+    except MemoryError as exc:
+        sys.stderr.write(f"error (memory): {str(exc) or 'out of memory'}\n")
         return 3
     except AnalysisError as exc:
         sys.stderr.write(f"error (analysis): {exc}\n")

@@ -1,7 +1,7 @@
 """Error taxonomy shared by all spherelab modules.
 
 Exit-code mapping used by the CLI: parameter/range errors -> 2,
-budget/resource errors -> 3, analysis errors -> 4.
+budget/resource errors -> 3 (a MemoryError too), analysis errors -> 4.
 """
 
 

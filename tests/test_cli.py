@@ -4,6 +4,7 @@ import json
 import os
 import re
 import resource
+import stat
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import spherelab
+from spherelab import acceptance, cli
 from spherelab.cli import run
 
 
@@ -552,3 +554,171 @@ def test_atomic_write_to_a_directory_leaves_no_temp_file(tmp_path, capsys):
     assert err.splitlines()[1].startswith("error (io)")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
     assert list(target.iterdir()) == []
+
+
+def test_atomic_write_keeps_the_usual_file_mode(tmp_path, capsys):
+    # as open(path, "w") would: a new file gets 0o666 & ~umask, an existing one keeps its mode
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("")
+    old.chmod(0o640)
+    umask = os.umask(0o022)
+    try:
+        for path in (new, old):
+            code, _, _ = run_cli(["count", "--dim", "2", "--lambda-max", "3", "--out", str(path)],
+                                 capsys)
+            assert code == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+    assert new.read_text() == old.read_text() == "lambda,count\n0,1\n1,4\n2,4\n3,0\n"
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 8.00 EiB for an array"),
+     "error (memory): Unable to allocate 8.00 EiB for an array"),
+    (MemoryError(), "error (memory): out of memory"),
+], ids=["numpy", "bare"])
+def test_exit_code_memory_error(error, line, capsys, monkeypatch):
+    def exhausted(*args):
+        raise error
+    monkeypatch.setattr(cli, "rep_counts", exhausted)
+    code, out, err = run_cli(["count", "--dim", "2", "--lambda-max", "3"], capsys)
+    assert code == 3 and out == ""
+    assert err.splitlines()[1:] == [line]
+
+
+_CAPPED_RUN = """
+import resource, sys
+from spherelab.cli import run
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:")) * 1024
+cap = size + 64 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc")
+def test_exit_code_out_of_memory_under_a_cap():
+    # 52 points, but the shell's half-ball descent allocates hundreds of MB: with the address
+    # space capped 64 MB above the size after import, numpy's allocation fails
+    src = str(Path(spherelab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_RUN, "shell", "--dim", "2", "--degree", "2",
+         "--lambda", "24500000000000"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 2      # the config echo and a one-line error
+    assert proc.stderr.splitlines()[1].startswith("error (memory): ")
+
+
+def test_accept_failed_gate(tmp_path, capsys, monkeypatch):
+    # the report is written first, then the headline, and the exit code says the gate failed
+    name, details = "exponent formulas + region probes", {"probe": "forced to fail"}
+    monkeypatch.setitem(acceptance.EXPERIMENTS, 7, lambda: (name, False, details))
+    path = tmp_path / "exp7.json"
+    code, out, err = run_cli(["accept", "--experiment", "7", "--out", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(path.read_text()) == {"criterion": 7, "name": name, "passed": False,
+                                            "details": details}
+    assert re.fullmatch(r"FAIL  criterion 7: exponent formulas \+ region probes \(\d+\.\ds\)",
+                        err.splitlines()[-1])
+    # a report that cannot be written ends the run before the headline
+    code, out, err = run_cli(["accept", "--experiment", "7", "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 2 and err.splitlines()[1].startswith("error (io)")
+
+
+_HELP_SHA256 = {
+    "": "b09cb1d1315675ee9490071069592b875ea32dbe80e3518e0d696c5c50c5db2d",
+    "count": "c9880f59d517f4b9a2eddac8b322a6b3946b41e5feaef8f43e0a35ee5b054474",
+    "shell": "4920bdd8f44ef4c5e9ae6133fc9849b31aee15aeed16975f389fd203ffe919f1",
+    "joint": "6c3e43973a3cf662d367fbaaa1907a6e3e9011cf1bf891ab140921b98f4faf75",
+    "avg": "4450924b10ef963b9bfb43734361b391278c0725600ed058ded0cc03d86fd118",
+    "maxop": "b50a74b6f3c237fd53625bb21645d043236c1bef95a3ab5da8527973909d107d",
+    "hlmax": "1808f416475fd259460749afa4f9b4a696441fa8da89817c546f80a2f96da1f7",
+    "sphmax": "d18182f57db0ce256b3ab9df0c884c6296eb1e371af6a510c61ba1308d2cbc94",
+    "dominate": "1c71c620e4f5089c590cc4084713c24bb4b7f76c9cb6afa208e01b1551cb2116",
+    "witness": "aea5b0f0c9c4389a1e14f17efe7cd73c27dcfc35553578d273c5d8378d4e8fae",
+    "decay": "a771ee99426285d6259adb4a0344f22aaa6cb98872add4886f23f67511b35e3a",
+    "normscan": "0e8b4ec63795e60ea5bfdb0eab25d39d13b9009f3740599209178c728975aaf2",
+    "region": "ebbd94e2205b2550f5d6cf6affaeab36163a12fc9acde9054e3f6d203ddecf08",
+    "exponents": "3217b721fef5fcab00292993812fc975569650c4b6c430ea3c5f5dfef9bbbd3e",
+    "asymfit": "d27a7347cc7d1a83323b7a88c749b19893bc211a2e2c58f7857ef4d3792c8edd",
+    "accept": "cc0bd535513dd61f830548a012f263fb4f765d1f878847cfb7c2687e12e9e59f",
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP_SHA256), ids=lambda command: command or "top-level")
+def test_help_texts_are_pinned(command, capsys, monkeypatch):
+    # every flag, default, choice, metavar and help string of the interface, at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run_cli(command.split() + ["--help"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _HELP_SHA256[command]
+
+
+_ECHO = [
+    ("count --dim 2 --degree 2 --threads 1 --lambda-max 10",
+     '{"command": "count", "degree": 2, "dim": 2, "lambda_max": 10, "out": null, "threads": 1}'),
+    ("shell --dim 2 --degree 2 --threads 1 --lambda 25",
+     '{"command": "shell", "degree": 2, "dim": 2, "lambda": 25, "out": null, "threads": 1}'),
+    ("joint --dim 2 --degree 2 --threads 1 --linearity 2 --lambda 5",
+     '{"command": "joint", "degree": 2, "dim": 2, "lambda": 5, "linearity": 2, "out": null, '
+     '"threads": 1}'),
+    ("avg --dim 1 --degree 2 --threads 1 --linearity 2 --lambda 2 --normalization exact "
+     "--fn delta --function-file f.txt",
+     '{"command": "avg", "degree": 2, "dim": 1, "fn": ["delta", "file:f.txt"], "lambda": 2, '
+     '"linearity": 2, "normalization": "exact", "out": null, "threads": 1}'),
+    ("maxop --dim 1 --degree 2 --threads 1 --linearity 2 --lambda-max 8 --lambda-min 2 "
+     "--normalization asymptotic --fn delta --function-file f.txt",
+     '{"command": "maxop", "degree": 2, "dim": 1, "fn": ["delta", "file:f.txt"], "lambda_max": 8, '
+     '"lambda_min": 2, "linearity": 2, "normalization": "asymptotic", "out": null, "threads": 1}'),
+    ("hlmax --dim 1 --degree 2 --threads 1 --lambda-max 4 --fn delta",
+     '{"command": "hlmax", "degree": 2, "dim": 1, "fn": "delta", "lambda_max": 4, "out": null, '
+     '"threads": 1}'),
+    ("sphmax --dim 1 --degree 2 --threads 1 --lambda-max 4 --function-file f.txt",
+     '{"command": "sphmax", "degree": 2, "dim": 1, "fn": "file:f.txt", "lambda_max": 4, '
+     '"out": null, "threads": 1}'),
+    ("dominate --dim 3 --degree 2 --threads 1 --lambda-max 10 --f box:1 --g delta",
+     '{"command": "dominate", "degree": 2, "dim": 3, "f": "box:1", "g": "delta", "lambda_max": 10, '
+     '"out": null, "threads": 1}'),
+    ("witness --dim 5 --degree 2 --threads 1 --linearity 2 --box 1 --point 2,0,0,0,0 "
+     "--normalization exact",
+     '{"box": 1, "command": "witness", "degree": 2, "dim": 5, "linearity": 2, '
+     '"normalization": "exact", "out": null, "point": "2,0,0,0,0", "threads": 1}'),
+    ("decay --dim 5 --degree 2 --threads 1 --linearity 2 --box 1 --direction 1,0,0,0,0 "
+     "--t-min 10 --t-max 100 --samples 16",
+     '{"box": 1, "command": "decay", "degree": 2, "dim": 5, "direction": "1,0,0,0,0", '
+     '"linearity": 2, "out": null, "samples": 16, "t_max": 100, "t_min": 10, "threads": 1}'),
+    ("normscan --dim 5 --degree 2 --threads 1 --linearity 2 --box 1 --r 0.7 --radii 8,16 "
+     "--seed 9 --samples 100 --exact-budget 1000 --csv",
+     '{"box": 1, "command": "normscan", "csv": true, "degree": 2, "dim": 5, "exact_budget": 1000, '
+     '"linearity": 2, "out": null, "r": "0.7", "radii": "8,16", "samples": 100, "seed": 9, '
+     '"threads": 1}'),
+    ("region --dim 5 --threads 1 --p 2 --q 2 --r 0.6",
+     '{"command": "region", "dim": 5, "out": null, "p": "2", "q": "2", "r": "0.6", "threads": 1}'),
+    ("exponents --dim 5 --degree 2 --threads 1 --linearity 2 --delta0 1/2",
+     '{"command": "exponents", "degree": 2, "delta0": "1/2", "dim": 5, "linearity": 2, '
+     '"out": null, "threads": 1}'),
+    ("asymfit --dim 5 --degree 2 --threads 1 --lambda-max 256 --window-lo 16 --window-hi 256",
+     '{"command": "asymfit", "degree": 2, "dim": 5, "lambda_max": 256, "out": null, "threads": 1, '
+     '"window_hi": 256, "window_lo": 16}'),
+    ("accept --threads 1 --experiment 7",
+     '{"command": "accept", "experiment": 7, "out": null, "threads": 1}'),
+]
+
+
+@pytest.mark.parametrize("argv, echo", _ECHO, ids=[argv.split()[0] for argv, _ in _ECHO])
+def test_config_echo_is_pinned(argv, echo, tmp_path, capsys, monkeypatch):
+    # one invocation per subcommand that gives every option: the echo names each resolved
+    # option once, and nothing else
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.txt").write_text("1\n0 1.0\n")
+    code, _, err = run_cli(argv.split(), capsys)
+    assert code == 0
+    assert err.splitlines()[0] == echo
