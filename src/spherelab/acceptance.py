@@ -32,7 +32,8 @@ from .operators import (
     domination_check,
     multilinear_average,
 )
-from .sharpness import WitnessSpec, critical_r, decay_fit, p0_bound, partial_norm_scan, r0_bound, region_classify
+from .sharpness import (WitnessSpec, critical_r, decay_fit, p0_bound, partial_norm_scan, r0_bound,
+                        region_classify)
 
 ACCEPTANCE_SEED = 20250808
 
@@ -294,47 +295,37 @@ REGION_PROBES: list[tuple[float | str, float | str, float | str, int, str]] = [
 ]
 
 
+FORMULA_PROBES: list[tuple] = [      # (formula, arguments, exact value)
+    (critical_r, (5, 2, 2), Fraction(5, 8)),     # the paper's d/(2d - 2) at d = 5
+    *((critical_r, (d, 2, ell), Fraction(d, ell * d - 2))
+      for d in range(3, 9) for ell in range(2, 5)),
+    (r0_bound, (Fraction(0), 2), Fraction(2, 3)),
+    (r0_bound, (Fraction(1, 4), 2), Fraction(5, 8)),
+    (r0_bound, (Fraction(1, 2), 2), Fraction(3, 5)),
+    (r0_bound, (Fraction(0), 3), Fraction(2, 5)),
+    (r0_bound, (Fraction(1, 4), 3), Fraction(5, 13)),
+    (r0_bound, (Fraction(1, 2), 3), Fraction(3, 8)),
+    (p0_bound, (Fraction(0), 5, 2), Fraction(2)),
+    (p0_bound, (Fraction(0), 5, 3), Fraction(5, 2)),
+    (p0_bound, (Fraction(0), 5, 4), Fraction(5)),
+    (p0_bound, (Fraction(1, 4), 5, 2), Fraction(5, 3)),
+    (p0_bound, (Fraction(1, 2), 5, 2), Fraction(5, 3)),
+    (p0_bound, (Fraction(1, 2), 7, 3), Fraction(7, 4)),
+]
+
+
 def experiment_7() -> tuple[str, bool, dict]:
     """Exact exponent formulas and the nine region-classifier probes."""
-    problems = []
-    if critical_r(5, 2, 2) != Fraction(5, 8):
-        problems.append("critical_r(5,2,2) != 5/8")
-    for d in range(3, 9):
-        for ell in range(2, 5):
-            if critical_r(d, 2, ell) != Fraction(d, ell * d - 2):
-                problems.append(f"critical_r({d},2,{ell})")
-    r0_expect = {
-        (Fraction(0), 2): Fraction(2, 3),
-        (Fraction(1, 4), 2): Fraction(5, 8),
-        (Fraction(1, 2), 2): Fraction(3, 5),
-        (Fraction(0), 3): Fraction(2, 5),
-        (Fraction(1, 4), 3): Fraction(5, 13),
-        (Fraction(1, 2), 3): Fraction(3, 8),
-    }
-    for (d0, ell), want in r0_expect.items():
-        if r0_bound(d0, ell) != want:
-            problems.append(f"r0_bound({d0},{ell}) != {want}")
-    p0_expect = {
-        (Fraction(0), 5, 2): Fraction(2),
-        (Fraction(0), 5, 3): Fraction(5, 2),
-        (Fraction(0), 5, 4): Fraction(5),
-        (Fraction(1, 4), 5, 2): Fraction(5, 3),
-        (Fraction(1, 2), 5, 2): Fraction(5, 3),
-        (Fraction(1, 2), 7, 3): Fraction(7, 4),
-    }
-    for (d0, d, k), want in p0_expect.items():
-        if p0_bound(d0, d, k) != want:
-            problems.append(f"p0_bound({d0},{d},{k}) != {want}")
+    problems = [f"{formula.__name__}({','.join(map(str, args))}) != {want}"
+                for formula, args, want in FORMULA_PROBES if formula(*args) != want]
     probe_rows = []
     for p, q, r, d, want in REGION_PROBES:
         verdict = region_classify(p, q, r, d)
         ok = verdict.verdict == want
         if not ok:
             problems.append(f"region_classify({p},{q},{r},{d}) = {verdict.verdict}, want {want}")
-        probe_rows.append(
-            {"p": str(p), "q": str(q), "r": str(r), "dim": d,
-             "verdict": verdict.verdict, "expected": want, "ok": ok}
-        )
+        probe_rows.append({"p": str(p), "q": str(q), "r": str(r), "dim": d,
+                           "verdict": verdict.verdict, "expected": want, "ok": ok})
     payload = {"problems": problems, "region_probes": probe_rows}
     return "exponent formulas + region probes", not problems, payload
 

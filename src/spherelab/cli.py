@@ -6,10 +6,9 @@ Conventions shared by all subcommands:
   * the fully resolved configuration is echoed as JSON to stderr, so every
     output is self-describing;
   * files are written atomically (temp file in the target directory, then
-    rename);
-  * exit codes: 0 success, 1 failed acceptance gate, 2 argument errors,
-    3 budget/resource errors (a budget refusal, or running out of memory),
-    4 analysis errors (degenerate fits), each with one "error (kind): ..." line;
+    rename); an --out that cannot be written is refused before any work;
+  * exit codes: 0 success, 1 failed acceptance gate, else the one that
+    errors.EXIT_CODES gives the error, after one "error (kind): ..." line;
   * --threads (fallback: the SPHERELAB_THREADS environment variable) is
     resolved and echoed but changes nothing yet: every computation runs
     sequentially.  Each has a fixed reduction order, so outputs will stay
@@ -27,6 +26,7 @@ returns.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import os
@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 from . import acceptance as _accept
 from .counts import (SphereSpec, asymptotic_validity_note, enumerate_shell, growth_exponent_fit,
                      joint_count, rep_counts, write_counts_csv, write_shell_csv)
-from .errors import AnalysisError, BudgetError, ParameterError
+from .errors import EXIT_CODES, ParameterError
 from .grids import GridFunction, make_box_indicator, make_delta, read_grid_text, write_grid_text
 from .operators import (Normalization, OperatorConfig, domination_check, hl_maximal,
                         linear_spherical_maximal, multilinear_average, multilinear_maximal)
@@ -72,6 +72,15 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _check_out(path: str) -> None:
+    """Refuse, naming it as given, an --out that is a directory or in a missing or read-only one."""
+    directory = os.path.dirname(os.path.abspath(path))
+    code = (errno.EISDIR if os.path.isdir(path) else errno.ENOENT if not os.path.isdir(directory)
+            else 0 if os.access(directory, os.W_OK | os.X_OK) else errno.EACCES)
+    if code:
+        raise OSError(code, os.strerror(code), path)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -378,26 +387,17 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         _echo_config(args, _resolve_threads(args.threads))
+        if args.out:
+            _check_out(args.out)
         result = _SUBCOMMANDS[args.command].body(args)
         text, headline, code = result if isinstance(result, tuple) else (result, "", 0)
         _emit(text, args.out)
         sys.stderr.write(headline)
         return code
-    except BudgetError as exc:
-        sys.stderr.write(f"error (budget): {exc}\n")
-        return 3
-    except MemoryError as exc:
-        sys.stderr.write(f"error (memory): {str(exc) or 'out of memory'}\n")
-        return 3
-    except AnalysisError as exc:
-        sys.stderr.write(f"error (analysis): {exc}\n")
-        return 4
-    except ParameterError as exc:
-        sys.stderr.write(f"error (parameters): {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"error (io): {exc}\n")
-        return 2
+    except tuple(cls for cls, _, _ in EXIT_CODES) as exc:
+        kind, code = next((kind, code) for cls, kind, code in EXIT_CODES if isinstance(exc, cls))
+        sys.stderr.write(f"error ({kind}): {str(exc) or 'out of memory'}\n")
+        return code
 
 
 def main() -> None:

@@ -29,13 +29,14 @@ raw counts oscillate arithmetically, so slopes are fitted to block means.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._convolve import power_trunc
 from .errors import AnalysisError, ParameterError, RangeError
-from .grids import _as_int, _as_point, _within_budget
+from .grids import _as_int, _as_point, _or_inf, _within_budget
 from .reports import ExponentReport
 
 
@@ -249,7 +250,8 @@ def growth_exponent_fit(table: RepCountTable, window: tuple[int, int]) -> Expone
     """Dyadic-block log-log slope of the counts over [window_lo, window_hi].
 
     Counts are averaged over each block [2^j, 2^(j+1)) before fitting;
-    the expected slope for dimension m, degree k is m/k - 1.
+    the expected slope for dimension m, degree k is m/k - 1.  A block mean
+    past the float range is refused with BudgetError.
     """
     window = _as_point(window, "window")
     if len(window) != 2 or not 1 <= window[0] <= window[1] <= table.lambda_max:
@@ -261,7 +263,8 @@ def growth_exponent_fit(table: RepCountTable, window: tuple[int, int]) -> Expone
     xs, ys = [], []
     for j in blocks:
         seg = table.counts[2**j : 2 ** (j + 1)]
-        avg = sum(seg) / len(seg)
+        avg = _or_inf(lambda: sum(seg) / len(seg))
+        _within_budget(avg, f"mean count of the block [2^{j}, 2^{j + 1})", sys.float_info.max)
         if avg <= 0.0:
             raise AnalysisError(f"all-zero dyadic block [{2**j}, {2**(j+1)}); fit is degenerate")
         xs.append(math.log(2**j * math.sqrt(2.0)))  # geometric block center

@@ -1,8 +1,4 @@
-"""Error taxonomy shared by all spherelab modules.
-
-Exit-code mapping used by the CLI: parameter/range errors -> 2,
-budget/resource errors -> 3 (a MemoryError too), analysis errors -> 4.
-"""
+"""Error taxonomy shared by all spherelab modules, and the CLI's exit code for each."""
 
 
 class SphereLabError(Exception):
@@ -27,3 +23,14 @@ class AnalysisError(SphereLabError):
 
 class EmptySphereWarning(UserWarning):
     """Exact normalization hit a level with zero lattice points."""
+
+
+# (error class, kind, exit code): cli.run ends an error of the first class it matches with the
+# line "error (kind): message" and the exit code
+EXIT_CODES = (
+    (BudgetError, "budget", 3),
+    (MemoryError, "memory", 3),
+    (AnalysisError, "analysis", 4),
+    (ParameterError, "parameters", 2),
+    (OSError, "io", 2),
+)

@@ -43,6 +43,14 @@ def _within_budget(n, what: str, limit: int | None = None) -> None:
         raise BudgetError(f"{what}: {n} exceeds the budget of {limit}")
 
 
+def _or_inf(f, *args) -> float:
+    """f(*args), or inf where the float it returns would pass the float range (OverflowError)."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
+
+
 def _as_point(p, noun: str = "point", dim: int | None = None) -> Point:
     """p as a tuple of ints: int, bool and numpy integer entries pass, a float or str raises
     ParameterError, naming the sequence by noun, instead of being truncated; so does a length
@@ -110,7 +118,7 @@ class GridFunction:
             i = int(np.argmax(bad))
             raise ParameterError(f"the value at {tuple(pts[i].tolist())!r} must be a finite real "
                                  f"number, got {vals[i].item()!r}")
-        bbox = (tuple(pts.min(axis=0).tolist()), tuple(pts.max(axis=0).tolist())) if len(vals) else None
+        bbox = tuple(tuple(end.tolist()) for end in (pts.min(0), pts.max(0))) if len(vals) else None
         self = object.__new__(cls)
         self._store(dim, bbox, pts, vals)
         return self
@@ -123,7 +131,7 @@ class GridFunction:
         pts = np.asarray(pts, dtype=np.int64).reshape(-1, dim)
         vals = np.asarray(vals, dtype=np.float64)
         pts.flags.writeable = vals.flags.writeable = False
-        for name, value in (("dim", dim), ("bbox", bbox), ("_pts", pts), ("_vals", vals), ("_map", None)):
+        for name, value in zip(GridFunction.__slots__, (dim, bbox, pts, vals, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

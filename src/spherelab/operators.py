@@ -49,6 +49,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -57,7 +58,7 @@ import numpy as np
 from . import grids
 from .counts import DEFAULT_CACHE, SphereSpec, _ball_offsets, kth_root_floor
 from .errors import EmptySphereWarning, ParameterError
-from .grids import GridFunction, _as_int, _within_budget
+from .grids import GridFunction, _as_int, _or_inf, _within_budget
 from .reports import DominationReport
 
 _CHUNK_ROWS = 1 << 13       # rows per grid chunk
@@ -91,23 +92,31 @@ class OperatorConfig:
             raise ParameterError("normalization must be a Normalization value")
 
 
-def _validate(
-    fs: list[GridFunction],
-    spec: SphereSpec,
-    lambda_max: int,
-    linearity: int | None = None,
-    nonnegative: bool = False,
-) -> int:
-    """The input checks shared by every operator; returns lambda_max as an int."""
+def _validate(fs: list[GridFunction], spec: SphereSpec, lambda_max: int, linearity: int | None = None,
+              domination: bool = False, level: tuple | None = None) -> int:
+    """The checks every operator starts with; returns top, the largest level it evaluates:
+    multilinear_average's level = (lam, lambda_min), else lambda_max.  After the parameter checks,
+    levels 0..top of one row must fit a chunk, refused before any array of levels is built."""
+    if domination and len(fs) < 2:
+        raise ParameterError("domination check needs at least two input functions")
     if linearity is not None and len(fs) != linearity:
         raise ParameterError(f"expected {linearity} input functions, got {len(fs)}")
-    lambda_max = _as_int(lambda_max, "lambda_max", 1)
+    top = lambda_max = _as_int(lambda_max, "lambda_max", 1)
     for i, f in enumerate(fs):
         if f.dim != spec.dim:
             raise ParameterError(f"input dimension {f.dim} != spec dimension {spec.dim}")
-        if nonnegative and (f.arrays()[1] < 0.0).any():
+        if domination and (f.arrays()[1] < 0.0).any():
             raise ParameterError(f"input {i} must be nonnegative for the domination check")
-    return lambda_max
+    if domination and (len(fs) - 1) * spec.dim < spec.degree:
+        raise ParameterError(f"domination needs (linearity-1)*dim >= degree; got ({len(fs)} - 1) * "
+                             f"{spec.dim} < {spec.degree} (the spherical normalization is not "
+                             "monotone there and the bound fails)")
+    if level is not None:
+        top, lambda_min = _as_int(level[0], "lam", None), level[1]
+        if not lambda_min <= top <= lambda_max:
+            raise ParameterError(f"lam={top!r} outside [{lambda_min}, {lambda_max}]")
+    _within_budget(top + 1, "chunk cells of one row of levels", _CHUNK_CELLS)
+    return top
 
 
 class _Stencil:
@@ -327,7 +336,8 @@ def _fold(profiles: list[np.ndarray]) -> np.ndarray:
 
 
 def _engine(fs: list[GridFunction], degree: int, lam_max: int):
-    """The evaluation engine: (lo, shape, live), or None when the common box is empty.
+    """The evaluation engine: (lo, shape, live), or None when the common box is empty.  Its
+    callers have passed _validate, so a row of the levels 0..lam_max fits a chunk.
 
     The box, corner lo, is the supports' bounding boxes dilated by floor(lam_max^(1/k)) in
     sup-norm, intersected.  live yields (points, flat, profiles) per chunk of live rows (no input's
@@ -353,7 +363,6 @@ def _engine(fs: list[GridFunction], degree: int, lam_max: int):
     lo, shape = np.array(lo, dtype=np.int64), tuple(b - a + 1 for a, b in zip(lo, hi))
     total, rows = math.prod(shape), min(_CHUNK_ROWS, _CHUNK_CELLS // (lam_max + 1))
     _within_budget(total, "evaluation box rows (int64 row indices)", (1 << 63) - 1)
-    _within_budget(lam_max + 1, "chunk cells of one row of levels", _CHUNK_CELLS)    # rows > 0
     supports = [f.arrays() for f in fs]
     spans = [max(b - a for a, b in zip(*f.bbox)) + radius for f in fs]    # >= every |x_i - s_i|
     caps = [radius + 1 if len(shape) * s**degree >= 1 << 63 else None for s in spans]
@@ -364,7 +373,8 @@ def _engine(fs: list[GridFunction], degree: int, lam_max: int):
         ball = DEFAULT_CACHE.table(SphereSpec(len(shape), degree), lam_max).counts[: lam_max + 1]
         if sum(ball) <= min(total, grids.DEFAULT_SUPPORT_BUDGET):
             stencil = _Stencil(lo, shape, axis, degree, lam_max, supports)
-    if stencil is None or len(supports[order[0]][1]) * len(stencil.key) > grids.DEFAULT_SUPPORT_BUDGET:
+    if stencil is None or (len(supports[order[0]][1]) * len(stencil.key)
+                           > grids.DEFAULT_SUPPORT_BUDGET):
         step = rows if stencil is None else stencil.size     # rows per step of the box walk
         _within_budget(-(-total // step), "box walk steps")
         units = ((np.arange(a, min(a + step, total)), None) for a in range(0, total, step))
@@ -417,16 +427,18 @@ def _evaluate(fs: list[GridFunction], degree: int, lam_max: int, reduce) -> Grid
     return GridFunction._from_arrays(dim, np.concatenate(pts), np.concatenate(vals))
 
 
-def _norm_factors(spec: SphereSpec, ell: int, normalization: Normalization, lam_max: int) -> np.ndarray:
-    """norm(lam) for lam = 0..lam_max; 0 marks an empty sphere (skip)."""
+def _norm_factors(spec: SphereSpec, ell: int, normalization: Normalization, lam_max: int):
+    """norm(lam) for lam = 0..lam_max as a float64 array; 0 marks an empty sphere (skip).  An exact
+    count past the float range is refused with BudgetError."""
     if normalization is Normalization.ASYMPTOTIC:
         expo = ell * spec.dim / spec.degree - 1.0
         lam = np.arange(lam_max + 1, dtype=np.float64)
         lam[0] = 1.0  # level zero uses unit normalization
         return lam**expo
     joint = SphereSpec(dim=spec.dim * ell, degree=spec.degree)
-    tab = DEFAULT_CACHE.table(joint, lam_max)
-    return np.array([float(c) for c in tab.counts[: lam_max + 1]], dtype=np.float64)
+    counts = DEFAULT_CACHE.table(joint, lam_max).counts[: lam_max + 1]
+    _within_budget(_or_inf(float, max(counts)), f"joint count in Z^{joint.dim}", sys.float_info.max)
+    return np.array([float(c) for c in counts], dtype=np.float64)
 
 
 def multilinear_average(fs: list[GridFunction], lam: int, cfg: OperatorConfig) -> GridFunction:
@@ -434,12 +446,10 @@ def multilinear_average(fs: list[GridFunction], lam: int, cfg: OperatorConfig) -
 
     Exact normalization at an empty sphere (N(lam) = 0) returns the zero
     function and emits EmptySphereWarning; a supremum scan must skip such
-    levels rather than abort.
+    levels rather than abort.  A lam past _validate's level rule is refused
+    with BudgetError first, even where the average would be zero.
     """
-    _validate(fs, cfg.spec, cfg.lambda_max, cfg.linearity)
-    lam = _as_int(lam, "lam", None)
-    if not cfg.lambda_min <= lam <= cfg.lambda_max:
-        raise ParameterError(f"lam={lam!r} outside [{cfg.lambda_min}, {cfg.lambda_max}]")
+    lam = _validate(fs, cfg.spec, cfg.lambda_max, cfg.linearity, level=(lam, cfg.lambda_min))
     norms = _norm_factors(cfg.spec, cfg.linearity, cfg.normalization, lam)
     if cfg.normalization is Normalization.EXACT and norms[lam] == 0.0:
         warnings.warn(f"empty sphere at lam={lam}: average defined as 0", EmptySphereWarning)
@@ -454,10 +464,8 @@ def multilinear_maximal(fs: list[GridFunction], cfg: OperatorConfig) -> GridFunc
     levels = [lam for lam in range(cfg.lambda_min, cfg.lambda_max + 1) if norms[lam] != 0.0]
     if not levels:
         return GridFunction(cfg.spec.dim, {})
-    return _evaluate(
-        fs, cfg.spec.degree, cfg.lambda_max,
-        lambda profs: (np.abs(_fold(profs)[levels]) / norms[levels, None]).max(axis=0),
-    )
+    return _evaluate(fs, cfg.spec.degree, cfg.lambda_max,
+                     lambda profs: (np.abs(_fold(profs)[levels]) / norms[levels, None]).max(axis=0))
 
 
 def hl_maximal(f: GridFunction, spec: SphereSpec, lambda_max: int) -> GridFunction:
@@ -489,11 +497,8 @@ def linear_spherical_maximal(g: GridFunction, spec: SphereSpec, lambda_max: int)
     return _evaluate([g], spec.degree, lambda_max, reduce)
 
 
-def domination_check_multilinear(
-    fs: list[GridFunction],
-    spec: SphereSpec,
-    lambda_max: int,
-) -> DominationReport:
+def domination_check_multilinear(fs: list[GridFunction], spec: SphereSpec,
+                                 lambda_max: int) -> DominationReport:
     """Check sup_lam T_lam(f_1..f_l) <= M(f_1) * S~^(l-1)(f_2..f_l) pointwise.
 
     Asymptotic normalization throughout; inputs must be nonnegative.  The
@@ -506,15 +511,7 @@ def domination_check_multilinear(
     ParameterError names the first row, in row order, whose LHS or majorant
     overflows to a non-finite value.
     """
-    if len(fs) < 2:
-        raise ParameterError("domination check needs at least two input functions")
-    lambda_max = _validate(fs, spec, lambda_max, nonnegative=True)
-    if (len(fs) - 1) * spec.dim < spec.degree:
-        raise ParameterError(
-            f"domination needs (linearity-1)*dim >= degree; got "
-            f"({len(fs)} - 1) * {spec.dim} < {spec.degree} (the spherical "
-            "normalization is not monotone there and the bound fails)"
-        )
+    lambda_max = _validate(fs, spec, lambda_max, domination=True)
     full_norm = _norm_factors(spec, len(fs), Normalization.ASYMPTOTIC, lambda_max)
     rest_norm = _norm_factors(spec, len(fs) - 1, Normalization.ASYMPTOTIC, lambda_max)
     m_reduce = _hl_reduction(spec, lambda_max)

@@ -51,7 +51,7 @@ import numpy as np
 
 from .counts import SphereSpec, _ball_offsets, kth_root_floor
 from .errors import AnalysisError, ParameterError
-from .grids import _as_int, _as_point, _as_real, _within_budget
+from .grids import _as_int, _as_point, _as_real, _or_inf, _within_budget
 from .operators import Normalization, _norm_factors
 from .reports import ExponentReport, RegionVerdict, ScanReport
 
@@ -251,15 +251,12 @@ def decay_fit(
         raise AnalysisError("degenerate t_range: a single sample point cannot be fitted")
     if t_hi < 10 * t_lo:
         raise ParameterError(f"t_range {t_range!r} spans less than one decade")
-    if t_hi * max(map(abs, direction)) >= 1 << 63:
+    top = round(t_lo * (t_hi / t_lo))   # the largest sample: the last, as ts rounds it below
+    if max(t_hi, top) * max(map(abs, direction)) >= 1 << 63:
         raise ParameterError(f"t_max {t_hi} times direction {direction} leaves int64")
     _within_budget(num_samples, "decay samples")
-    ts = sorted(
-        {
-            int(round(t_lo * (t_hi / t_lo) ** (i / (num_samples - 1))))
-            for i in range(num_samples)
-        }
-    )
+    ts = sorted({int(round(t_lo * (t_hi / t_lo) ** (i / (num_samples - 1))))
+                 for i in range(num_samples)})
     dir_arr = np.array(direction, dtype=np.int64)
     pts = np.array(ts, dtype=np.int64)[:, None] * dir_arr[None, :]
     vals = witness_values(pts, spec)
@@ -280,10 +277,7 @@ def decay_fit(
 
 def _ball_volume(dim: int, radius: float) -> float:
     """Volume of the radius ball in R^dim; inf past the float range."""
-    try:
-        return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * float(radius) ** dim
-    except OverflowError:
-        return math.inf
+    return _or_inf(lambda: math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * float(radius) ** dim)
 
 
 def _region_exact_sum(spec: WitnessSpec, r_lo: float, r_hi: float, r_exp: float) -> float:
@@ -301,7 +295,8 @@ def _region_exact_sum(spec: WitnessSpec, r_lo: float, r_hi: float, r_exp: float)
     """
     lo2, R = int(r_lo) ** 2, int(r_hi)
     # a class key, digits |x_i| <= R in base R+1, fits int64: (R+1)^d <= 2^63
-    _within_budget(R, f"radius of an exact region in Z^{spec.dim}", kth_root_floor(1 << 63, spec.dim) - 1)
+    _within_budget(R, f"radius of an exact region in Z^{spec.dim}",
+                   kth_root_floor(1 << 63, spec.dim) - 1)
     tail, tail_lev = _ball_offsets(spec.dim - 1, 2, R * R)
     place = (R + 1) ** np.arange(spec.dim, dtype=np.int64)
     keys = []
@@ -344,6 +339,7 @@ def _region_sampled_sum(
     return vol * total / samples
 
 
+@np.errstate(over="ignore")     # a sum past the float range is refused at the end
 def partial_norm_scan(
     spec: WitnessSpec,
     r: float,
@@ -358,7 +354,8 @@ def partial_norm_scan(
     Regions are the inner ball (0, radii[0]] and annuli between consecutive
     radii.  Regions whose estimated lattice count fits the budget are
     enumerated exactly; larger ones are sampled (seeded per region, so the
-    result is independent of any execution partitioning).
+    result is independent of any execution partitioning).  AnalysisError is
+    raised when a region sum or partial norm leaves the float range.
     """
     r = _as_real(r, "r")
     if not r > 0.0:
@@ -377,7 +374,7 @@ def partial_norm_scan(
     edges = [0.0] + [float(R) for R in radii]
     region_sums: list[float] = []
     modes: list[str] = []
-    origin = witness_value((0,) * spec.dim, spec) ** r  # checks the witness budget before any walk
+    origin = _or_inf(pow, witness_value((0,) * spec.dim, spec), r)  # checks the witness budget first
     for idx, (lo, hi) in enumerate(zip(edges, edges[1:])):
         est = _ball_volume(spec.dim, hi) - _ball_volume(spec.dim, lo)
         if est <= exact_budget:
@@ -386,27 +383,23 @@ def partial_norm_scan(
                 s += origin
             modes.append("exact")
         else:
-            s = _region_sampled_sum(
-                spec, lo, hi, r, np.random.default_rng([seed, idx]), samples_per_region
-            )
+            rng = np.random.default_rng([seed, idx])
+            s = _region_sampled_sum(spec, lo, hi, r, rng, samples_per_region)
             modes.append("sampled")
         region_sums.append(s)
     partial = []
     acc = 0.0
     for s in region_sums:
         acc += s
-        partial.append(acc ** (1.0 / r))
+        partial.append(_or_inf(pow, acc, 1.0 / r))
+    # witness^r is positive: a sum that reads inf overflowed, one that reads 0 underflowed
+    if bad := [x for x in region_sums + partial if not 0.0 < x < math.inf]:
+        raise AnalysisError(f"witness^r at r = {r!r} leaves the float range: a region sum or "
+                            f"partial norm reads {bad[0]!r}")
     shell_sums = region_sums[1:]
     ratios = [b / a for a, b in zip(shell_sums, shell_sums[1:])]
-    return ScanReport(
-        r=r,
-        radii=radii,
-        partial_norms=partial,
-        shell_sums=shell_sums,
-        ratios=ratios,
-        seed=seed,
-        region_modes=modes,
-    )
+    return ScanReport(r=r, radii=radii, partial_norms=partial, shell_sums=shell_sums,
+                      ratios=ratios, seed=seed, region_modes=modes)
 
 
 def region_classify(p, q, r, dim: int) -> RegionVerdict:

@@ -633,6 +633,27 @@ def test_accept_failed_gate(tmp_path, capsys, monkeypatch):
     assert len(err.splitlines()) == 2 and err.splitlines()[1].startswith("error (io)")
 
 
+def test_out_is_checked_before_the_work(tmp_path, capsys, monkeypatch):
+    # an --out that cannot be written ends the run before the experiment, naming the path given
+    calls = []
+
+    def experiment():
+        calls.append(sorted(p.name for p in tmp_path.iterdir()))    # no temp file during the work
+        return "growth exponent, dimensions 10 and 6", True, {}
+
+    monkeypatch.setitem(acceptance.EXPERIMENTS, 2, experiment)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    for out, line in (("missing/x.json", "[Errno 2] No such file or directory: 'missing/x.json'"),
+                      ("d", "[Errno 21] Is a directory: 'd'")):
+        code, stdout, err = run_cli(["accept", "--experiment", "2", "--out", out], capsys)
+        assert (code, stdout, err.splitlines()[1:]) == (2, "", [f"error (io): {line}"])
+    assert calls == [] and sorted(p.name for p in tmp_path.rglob("*")) == ["d"]
+    code, _, _ = run_cli(["accept", "--experiment", "2", "--out", "d/x.json"], capsys)
+    assert code == 0 and calls == [["d"]]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["d", "x.json"]
+
+
 _HELP_SHA256 = {
     "": "b09cb1d1315675ee9490071069592b875ea32dbe80e3518e0d696c5c50c5db2d",
     "count": "c9880f59d517f4b9a2eddac8b322a6b3946b41e5feaef8f43e0a35ee5b054474",

@@ -211,3 +211,13 @@ def test_text_format_stops_reading_at_the_support_budget(monkeypatch):
     # the budget itself is allowed, and blank lines do not count
     f = read_grid_text(io.StringIO("1\n1 1.0\n\n2 1.0\n3 0.0\n\n"))
     assert f.support_size() == 2
+
+
+def test_or_inf_reads_inf_only_past_the_float_range():
+    # a value float() rounds down to the largest float keeps its bits; one it rounds up to
+    # 2^1024 raises OverflowError, and reads inf for the budget rule to refuse
+    top = 2**1024 - 2**971      # the largest float
+    assert grids._or_inf(float, top + 2**969) == float(top) == 1.7976931348623157e308
+    assert grids._or_inf(lambda: 3 * top / 3) == float(top)
+    assert grids._or_inf(float, 2**1024 - 2**970) == math.inf
+    assert grids._or_inf(pow, 10.0, 700) == math.inf

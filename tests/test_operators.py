@@ -783,6 +783,49 @@ def test_chunk_rows_bounded_by_profile_cells(monkeypatch):
         hl_maximal(make_delta(2), SphereSpec(2, 2), 64)
 
 
+_PAST_THE_LEVEL_RULE = operators._CHUNK_CELLS     # a row of lam + 1 levels passes a chunk
+_LEVEL_RULE_CALLS = {
+    "average": lambda fs, spec, lam: multilinear_average(fs, lam, OperatorConfig(spec, 2, lam)),
+    "maximal": lambda fs, spec, lam: multilinear_maximal(fs, OperatorConfig(spec, 2, lam)),
+    "hl": lambda fs, spec, lam: hl_maximal(fs[0], spec, lam),
+    "spherical": lambda fs, spec, lam: linear_spherical_maximal(fs[0], spec, lam),
+    "domination": lambda fs, spec, lam: domination_check_multilinear(fs, spec, lam),
+}
+
+
+@pytest.mark.parametrize("call", list(_LEVEL_RULE_CALLS.values()), ids=list(_LEVEL_RULE_CALLS))
+def test_level_rule_refuses_before_any_array_of_levels(call, monkeypatch):
+    # the rule runs where every operator starts: no norms, M or S weights, count table or engine
+    # yet, and nothing near the 2 MB of one float64 row of levels is allocated
+    work = []
+    for name in ("_norm_factors", "_hl_reduction", "_engine"):
+        monkeypatch.setattr(operators, name, lambda *args, name=name: work.append(name))
+    monkeypatch.setattr(operators.DEFAULT_CACHE, "table", lambda *args: work.append("table"))
+    spec, fs = SphereSpec(2, 2), [make_delta(2), make_delta(2)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as err:
+            call(fs, spec, _PAST_THE_LEVEL_RULE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "chunk cells of one row of levels: 262145 exceeds the budget of 262144"
+    assert work == [] and peak < 2**20, (work, peak)
+    # the parameter checks come first
+    with pytest.raises(ParameterError):
+        call([make_delta(3)] * 2, spec, _PAST_THE_LEVEL_RULE)
+
+
+def test_level_rule_reads_the_level_an_average_evaluates():
+    spec = SphereSpec(1, 2)
+    cfg = OperatorConfig(spec, 2, 10**9)
+    assert multilinear_average([make_delta(1)] * 2, 2, cfg).values == {(-1,): 0.25, (1,): 0.25}
+    with pytest.raises(BudgetError):
+        multilinear_average([make_delta(1)] * 2, _PAST_THE_LEVEL_RULE, cfg)
+    with pytest.raises(ParameterError):     # lam outside [lambda_min, lambda_max] first
+        multilinear_average([make_delta(1)] * 2, 10**9 + 1, cfg)
+
+
 def test_output_support_budget(monkeypatch):
     # M(box) on Z^2 at lam_max = 9 is nonzero on 61 points; the output is
     # refused while it is built, before any GridFunction of it exists
