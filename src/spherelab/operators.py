@@ -217,20 +217,41 @@ class _Stencil:
 
     def walk(self, j: int, rows: int):
         """Yield (flat rows, profile of input j on them or None), in order, over the segments that
-        input j reaches (_engine decides when).  Segments are gathered in units of fewer
-        than _SLICE pairs, and one it sends more than _SLICE // 2 pairs is a unit alone.  A unit
-        of one segment, heavy or light, comes whole and unprofiled (gathering a light one reads
-        slower); the others are profiled on the rows reached, `rows` at a time, by one bincount
-        in support order.  j's runs into the box are found in blocks of _CHUNK_CELLS."""
+        input j reaches, one band [c, e) of first segment coordinates at a time.  Both head[0] and
+        prefix[0] are sorted, so the points in reach of a band, head[0] in [c - r, e + r), are a
+        range of the support, and each one's runs into it, prefix[0] in [c - head[0], e - head[0]),
+        a range of B's.  A band holds at most min(_CHUNK_CELLS, DEFAULT_SUPPORT_BUDGET) // runs
+        points unless it is one first coordinate, and its (point, run) pairs are refused with
+        BudgetError past DEFAULT_SUPPORT_BUDGET before they are built."""
+        head, top, r = self.supports[j][0][0], self.shape[0], self.radius
+        most = max(1, min(_CHUNK_CELLS, grids.DEFAULT_SUPPORT_BUDGET) // len(self.key))
+        c = 0
+        while (i := int(np.searchsorted(head, c - r))) < len(head):
+            c = max(c, int(head[i]) - r)        # the first coordinate the next point reaches
+            if c >= top:
+                return
+            e = top if i + most >= len(head) else min(top, max(c + 1, int(head[i + most]) - r))
+            h = head[i : int(np.searchsorted(head, e + r))]
+            low = np.searchsorted(self.prefix[0], c - h)
+            k = np.searchsorted(self.prefix[0], e - h) - low    # each point's runs into the band
+            _within_budget(int(k.sum()), "(point, run) pairs of one walk band")
+            yield from self._band(j, rows, i, low, k)   # its arrays are freed before the next band
+            c = e
+
+    def _band(self, j: int, rows: int, i: int, low: np.ndarray, count: np.ndarray):
+        """walk's units over one band, whose points i, i + 1, ... send count runs of B from low.
+        Segments are gathered in units of fewer than _SLICE pairs, and one they send more than
+        _SLICE // 2 pairs is a unit alone.  A unit of one segment, heavy or light, comes whole and
+        unprofiled (gathering a light one reads slower); the others are profiled on the rows
+        reached, `rows` at a time, by one bincount in support order."""
         head, _, _, _, vals = self.supports[j]
         dims, width, size = self.shape[: self.axis], self.width, self.size
         ball = self.level * size + self.row        # pair cells level * size + row in the segment
-        step, parts = max(1, _CHUNK_CELLS // len(self.key)), []
-        for a in range(0, len(vals), step):
-            seg = head[:, a : a + step, None] + self.prefix[:, None, :]
-            pt, run = np.nonzero(((seg >= 0) & (seg < np.array(dims)[:, None, None])).all(axis=0))
-            parts.append((np.ravel_multi_index(tuple(seg[:, pt, run]), dims), pt + a, run))
-        seg, pts, run = (np.concatenate(p) for p in zip(*parts))
+        pts = np.repeat(np.arange(i, i + len(count)), count)    # by point, then run
+        run = np.arange(len(pts)) + np.repeat(low - np.cumsum(count) + count, count)
+        seg = head[:, pts] + self.prefix[:, run]
+        keep = ((seg >= 0) & (seg < np.array(dims)[:, None])).all(axis=0)
+        seg, pts, run = np.ravel_multi_index(tuple(seg[:, keep]), dims), pts[keep], run[keep]
         order = np.argsort(seg, kind="stable")                      # by segment, then point
         seg, pts, run = seg[order], pts[order], run[order]
         first = np.flatnonzero(np.diff(seg, prepend=-1))           # each segment's first run
@@ -347,8 +368,7 @@ def _engine(fs: list[GridFunction], degree: int, lam_max: int):
     reduces a short last axis about ten times slower.  unit profiles a unit of rows smallest
     support first, dropping empty rows as they appear, and reads only the stencil and the
     supports.  The units are the stencil's walk of the smallest support's reach when a
-    stencil exists and that support has at most DEFAULT_SUPPORT_BUDGET (point, run) pairs, else
-    one box walk, a segment (or without a stencil a chunk) a step, refused with BudgetError past
+    stencil exists, else the box walked a chunk a step, refused with BudgetError past
     DEFAULT_SUPPORT_BUDGET steps.  A box of one chunk, a k-ball past the support budget, or a run
     key past int64 builds no stencil: every profile is pulled, capping each coordinate difference
     whose k-th power could pass int64.
@@ -373,11 +393,9 @@ def _engine(fs: list[GridFunction], degree: int, lam_max: int):
         ball = DEFAULT_CACHE.table(SphereSpec(len(shape), degree), lam_max).counts[: lam_max + 1]
         if sum(ball) <= min(total, grids.DEFAULT_SUPPORT_BUDGET):
             stencil = _Stencil(lo, shape, axis, degree, lam_max, supports)
-    if stencil is None or (len(supports[order[0]][1]) * len(stencil.key)
-                           > grids.DEFAULT_SUPPORT_BUDGET):
-        step = rows if stencil is None else stencil.size     # rows per step of the box walk
-        _within_budget(-(-total // step), "box walk steps")
-        units = ((np.arange(a, min(a + step, total)), None) for a in range(0, total, step))
+    if stencil is None:
+        _within_budget(-(-total // rows), "box walk steps")
+        units = ((np.arange(a, min(a + rows, total)), None) for a in range(0, total, rows))
     else:
         units = stencil.walk(order[0], rows)
 
@@ -429,9 +447,11 @@ def _evaluate(fs: list[GridFunction], degree: int, lam_max: int, reduce) -> Grid
 
 def _norm_factors(spec: SphereSpec, ell: int, normalization: Normalization, lam_max: int):
     """norm(lam) for lam = 0..lam_max as a float64 array; 0 marks an empty sphere (skip).  An exact
-    count past the float range is refused with BudgetError."""
+    count or asymptotic power past the float range is refused with BudgetError."""
     if normalization is Normalization.ASYMPTOTIC:
         expo = ell * spec.dim / spec.degree - 1.0
+        _within_budget(_or_inf(pow, float(lam_max), expo), f"asymptotic norm {lam_max}^{expo!r}",
+                       sys.float_info.max)
         lam = np.arange(lam_max + 1, dtype=np.float64)
         lam[0] = 1.0  # level zero uses unit normalization
         return lam**expo

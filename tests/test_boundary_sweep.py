@@ -36,6 +36,13 @@ _CASES = {
                     "--fn delta", 3, "error (budget): "),
     "avg-norms": ("avg --dim 500 --linearity 2 --lambda 700 --fn delta --fn delta",
                   3, "error (budget): "),
+    # asymptotic norms past the float range: T_60 of the boxes is about 10^-263.6 at the origin
+    "avg-norm-box": ("avg --dim 1 --linearity 400 --lambda 60 --normalization asymptotic"
+                     + " --fn box:1" * 400, 3, "error (budget): asymptotic norm 60^199.0: "),
+    "avg-norm-delta": ("avg --dim 1 --linearity 400 --lambda 60 --normalization asymptotic"
+                       + " --fn delta" * 400, 3, "error (budget): asymptotic norm 60^199.0: "),
+    "maxop-norm": ("maxop --dim 400 --linearity 3 --lambda-max 60 --normalization asymptotic "
+                   "--fn delta --fn delta --fn delta", 3, "error (budget): asymptotic norm "),
     # witness^r past the float range: a partial norm, the origin term, a shell sum that underflows
     "normscan-r0.01": ("normscan --dim 5 --r 0.01 --radii 4,8,16", 4, "error (analysis): "),
     "normscan-r700": ("normscan --dim 5 --r 700 --radii 4,8", 4, "error (analysis): "),

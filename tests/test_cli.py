@@ -247,20 +247,22 @@ def test_exit_code_oversized_evaluation_box(tmp_path, capsys):
 
 
 def test_exit_code_box_walk_budget(tmp_path, capsys, monkeypatch):
-    # 15 points (i, 0) and (300, 300) at lam_max = 9: 16 points times 7 k-ball runs pass a budget
-    # of 100, and walking the box a segment a step would take 307 steps
-    path = tmp_path / "line.txt"
-    path.write_text("2\n" + "".join(f"{i} 0 1.0\n" for i in range(15)) + "300 300 1.0\n")
+    # 15 points (i, 0) and (300, 300) at lam_max = 9 send 16 x 7 (point, run) pairs, past a budget
+    # of 100, and their reach is walked in bands; two points (0, 0) and (3000, 3000) with a budget
+    # of 28 build no stencil (29 k-ball points), and walking their box takes 1104 chunks
+    line, far = tmp_path / "line.txt", tmp_path / "far.txt"
+    line.write_text("2\n" + "".join(f"{i} 0 1.0\n" for i in range(15)) + "300 300 1.0\n")
+    far.write_text("2\n0 0 1.0\n3000 3000 1.0\n")
+    argv = ["dominate", "--dim", "2", "--degree", "2", "--lambda-max", "9"]
     monkeypatch.setattr(spherelab.grids, "DEFAULT_SUPPORT_BUDGET", 100)
-    code, out, err = run_cli(
-        ["dominate", "--dim", "2", "--degree", "2", "--lambda-max", "9",
-         "--f", f"file:{path}", "--g", f"file:{path}"],
-        capsys,
-    )
+    code, out, err = run_cli([*argv, "--f", f"file:{line}", "--g", f"file:{line}"], capsys)
+    assert code == 0 and out and len(err.splitlines()) == 1
+    monkeypatch.setattr(spherelab.grids, "DEFAULT_SUPPORT_BUDGET", 28)
+    code, out, err = run_cli([*argv, "--f", f"file:{far}", "--g", f"file:{far}"], capsys)
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 2      # the config echo and a one-line error
-    assert err.splitlines()[1].startswith("error (budget)")
+    assert err.splitlines()[1] == "error (budget): box walk steps: 1104 exceeds the budget of 28"
 
 
 def test_exit_code_grid_file_and_decay_samples_past_the_support_budget(tmp_path, capsys, monkeypatch):

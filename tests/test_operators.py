@@ -732,22 +732,89 @@ def line_and_far_point(n: int) -> GridFunction:
 
 
 def test_box_walk_is_bounded(monkeypatch):
-    # past the budget of (point, run) pairs the box is walked a segment a step, and a walk of more
-    # steps than the budget is refused before it starts
+    # the smallest support's reach is walked at any support budget, in bands of at most
+    # min(2^18, budget) // 7 points, with the same bytes; only a call that builds no stencil
+    # walks the box, a chunk a step, and a walk of more steps than the budget is refused first
     spec = SphereSpec(2, 2)
     f = line_and_far_point(60)
     walked, walk = [], operators._Stencil.walk
     monkeypatch.setattr(operators._Stencil, "walk", lambda *a: walked.append(a[1]) or walk(*a))
-    want = repr(domination_check(f, f, spec, 9))
-    assert walked == [0]
-    monkeypatch.setattr(grids, "DEFAULT_SUPPORT_BUDGET", 400)      # 420 pairs, 307 steps
-    walked.clear()
-    assert repr(domination_check(f, f, spec, 9)) == want
-    assert walked == []
-    monkeypatch.setattr(grids, "DEFAULT_SUPPORT_BUDGET", 100)      # 112 pairs, 307 steps
-    g = line_and_far_point(16)
-    with pytest.raises(BudgetError, match="box walk steps: 307 exceeds the budget of 100"):
+    reprs = []
+    for budget in (10**7, 400, 100):        # 420 (point, run) pairs in all
+        monkeypatch.setattr(grids, "DEFAULT_SUPPORT_BUDGET", budget)
+        walked.clear()
+        reprs.append(repr(domination_check(f, f, spec, 9)))
+        assert walked == [0]
+    assert reprs[0] == reprs[1] == reprs[2]
+    # the k-ball of 29 points passes a budget of 28: no stencil, and 3007^2 rows in 8192-row chunks
+    g = GridFunction(2, {(0, 0): 1.0, (3000, 3000): 0.5})
+    monkeypatch.setattr(grids, "DEFAULT_SUPPORT_BUDGET", 28)
+    with pytest.raises(BudgetError, match="box walk steps: 1104 exceeds the budget of 28"):
         domination_check(g, g, spec, 9)
+    assert walked == [0]
+
+
+def test_reach_walk_holds_one_band(monkeypatch):
+    # the 790-point shape, smaller: 360 points of {0..9} x {0..5}^2 x {0}^2 and a far point in
+    # Z^5 at lam_max = 12 send 361 x 761 (point, run) pairs; with 2^14 cells a band holds 21
+    # points, so the walk takes bands of one first coordinate, one at a time
+    monkeypatch.setattr(operators, "_CHUNK_CELLS", 1 << 14)
+    cube = itertools.product(range(10), range(6), range(6))
+    f = GridFunction(5, {**{(x, y, z, 0, 0): 1 + i % 7 / 8 for i, (x, y, z) in enumerate(cube)},
+                         (200,) * 5: 0.5})
+    live = hl_maximal(f, SphereSpec(5, 2), 12).support_size()
+    tracemalloc.start()
+    try:
+        rows = sum(len(flat) for _, flat, _ in operators._engine([f], 2, 12)[2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == live
+    assert peak < 8 * 2**20, peak       # all the pairs at once: about 22 MiB
+
+
+def test_band_past_the_support_budget_is_refused_before_its_arrays(monkeypatch):
+    # 10^4 points crowded into x = 0 of Z^4, and as many at x = 7 to start the box at x = 0: at
+    # lam_max = 49 the walk's first band, x = 0, takes the 149 runs of B with prefix (0, ., .)
+    # from every point; 1.49 M pairs pass a budget of 20000 and are never built
+    monkeypatch.setattr(operators, "_CHUNK_CELLS", 1 << 14)     # segments of the last axis
+    square = list(itertools.product(range(100), repeat=2))
+    f, g = (GridFunction(4, {(x, y, 0, z): 1.0 for y, z in square}) for x in (0, 7))
+    monkeypatch.setattr(grids, "DEFAULT_SUPPORT_BUDGET", 20000)    # past the k-ball's 11833
+    live = operators._engine([f, g], 2, 49)[2]
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=r"\(point, run\) pairs of one walk band: 1490000 "):
+            next(live)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1490000 * 8 // 16, peak
+
+
+def test_outputs_independent_of_band_size(monkeypatch):
+    # two inputs clustered on x = 0..3 of Z^3, 50 and 40 points to a first coordinate: with 2^10
+    # cells a band holds 35 points, so each band is one first coordinate and cuts the units the
+    # default single band gathers across first coordinates; every output keeps its bytes
+    rng = random.Random(30)
+    spec = SphereSpec(3, 2)
+    square = list(itertools.product(range(30), repeat=2))
+    f, g = (GridFunction(3, {(x, *p): rng.uniform(0.1, 1.0)
+                             for x in range(4) for p in rng.sample(square, n)}) for n in (50, 40))
+    monkeypatch.setattr(operators, "_CHUNK_ROWS", 64)       # the same segments in both
+    bands, within = [], operators._within_budget
+    monkeypatch.setattr(operators, "_within_budget",
+                        lambda n, what, *a: bands.append(what) or within(n, what, *a))
+    outputs = []
+    # one band a walk, then one for each of the 10 first coordinates of the box
+    for cells, per_walk in ((operators._CHUNK_CELLS, 1), (1 << 10, 10)):
+        monkeypatch.setattr(operators, "_CHUNK_CELLS", cells)
+        bands.clear()
+        outs = _grid_outputs(f, g, spec, 9)
+        outputs.append([[a.tobytes() for a in out.arrays()] for out in outs.values()])
+        outputs[-1].append(repr(domination_check(f, g, spec, 9)))
+        assert bands.count("(point, run) pairs of one walk band") == 5 * per_walk
+    assert outputs[0] == outputs[1]
 
 
 def test_one_chunk_calls_build_no_ball(monkeypatch):
@@ -824,6 +891,22 @@ def test_level_rule_reads_the_level_an_average_evaluates():
         multilinear_average([make_delta(1)] * 2, _PAST_THE_LEVEL_RULE, cfg)
     with pytest.raises(ParameterError):     # lam outside [lambda_min, lambda_max] first
         multilinear_average([make_delta(1)] * 2, 10**9 + 1, cfg)
+
+
+def test_asymptotic_norm_past_the_float_range_is_refused():
+    # T_60 of 400 copies of box:1 on Z is C(400, 60) 2^60 / 60^199 at the origin, about
+    # 10^-263.6, but 60^199 passes the float range: refused, not divided through; 35^199, about
+    # 10^307.3, keeps its bits
+    spec = SphereSpec(1, 2)
+    cfg = OperatorConfig(spec, 400, 60, Normalization.ASYMPTOTIC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BudgetError, match=r"^asymptotic norm 60\^199.0: inf exceeds"):
+            multilinear_average([make_box_indicator(1, 1)] * 400, 60, cfg)
+        norms = operators._norm_factors(spec, 400, Normalization.ASYMPTOTIC, 35)
+    lam = np.arange(36, dtype=np.float64)
+    lam[0] = 1.0
+    assert np.isfinite(norms).all() and norms.tobytes() == (lam**199.0).tobytes()
 
 
 def test_output_support_budget(monkeypatch):
